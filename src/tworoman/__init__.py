@@ -1,6 +1,6 @@
 """Exact solver library for n-attack Roman domination on finite simple graphs."""
 
-from .errors import (BadSpecError, DuplicateVertexError, EmptyGraphError,
+from .errors import (BadLimitError, BadSpecError, DuplicateVertexError, EmptyGraphError,
                      IncompatibleTorusError, InfeasibleError, InvalidEccdError,
                      MixedLabelsError, NotMinimumError, OutOfRangeError,
                      ParseError, SelfLoopError, TooLargeError, TwoRomanError,

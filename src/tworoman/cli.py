@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate every minimum labeling")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("optimal", help="optimality verdict and certificate")

@@ -34,6 +34,15 @@ class TooLargeError(TwoRomanError):
         self.limit = limit
 
 
+class BadLimitError(TwoRomanError):
+    """A limit override in the environment is not a non-negative integer."""
+
+    def __init__(self, variable, value):
+        super().__init__(f"{variable} must be a non-negative integer, got {value!r}")
+        self.variable = variable
+        self.value = value
+
+
 class InfeasibleError(TwoRomanError):
     """No labeling satisfies the requested constraints.
 

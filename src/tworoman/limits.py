@@ -2,10 +2,13 @@
 
 The limits are configuration, not complexity claims: they mark the graph
 orders up to which the exhaustive searches are known to finish in sane time
-on ordinary hardware.
+on ordinary hardware.  An override that is not a non-negative integer raises
+BadLimitError.
 """
 
 import os
+
+from .errors import BadLimitError
 
 ENV_MAX_ORDER = "TWO_RD_MAX_ORDER"
 
@@ -18,11 +21,10 @@ def _env_override():
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
         return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise BadLimitError(ENV_MAX_ORDER, raw)
+    return int(text)
 
 
 def bruteforce_max_order():

@@ -26,14 +26,16 @@ def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) ->
     return 0 if best is None else best
 
 
+def naive_valid_labelings(graph: Graph, attack_n: int = 2) -> list[tuple[int, ...]]:
+    """Every valid label vector of the graph, in lexicographic order."""
+    return [labels for labels in product((0, 1, 2), repeat=graph.order)
+            if validate_by_enumeration(Labeling(graph, labels), attack_n).valid]
+
+
 def naive_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[tuple[int, ...]]:
-    gamma = naive_gamma(graph, attack_n)
-    out = []
-    for labels in product((0, 1, 2), repeat=graph.order):
-        if sum(labels) == gamma and validate_by_enumeration(
-                Labeling(graph, labels), attack_n).valid:
-            out.append(labels)
-    return out
+    valid = naive_valid_labelings(graph, attack_n)
+    gamma = min(sum(labels) for labels in valid)
+    return [labels for labels in valid if sum(labels) == gamma]
 
 
 def _connected(n: int, adj: list[int]) -> bool:

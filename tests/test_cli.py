@@ -209,6 +209,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "-3", ""])
+    def test_bad_max_order_env(self, capsys, fixtures_dir, monkeypatch, raw):
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", raw)
+        code, out, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "TWO_RD_MAX_ORDER" in err
+        assert repr(raw) in err
+
+    def test_solve_has_no_threads_flag(self, capsys, fixtures_dir):
+        code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
+                           "--threads", "2")
+        assert code == 2 and "--threads" in err
+
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
 

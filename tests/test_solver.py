@@ -3,8 +3,9 @@ import random
 import pytest
 
 from helpers import (allepn_labelings, eccd_showcase_graph, naive_gamma,
-                     naive_minimum_labelings, sampled_connected_graphs)
-from tworoman import (EccdSet, FamilySpec, InvalidEccdError, Labeling,
+                     naive_minimum_labelings, naive_valid_labelings,
+                     sampled_connected_graphs)
+from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
                       eccd_to_labeling, enumerate_minimum_labelings,
@@ -12,6 +13,8 @@ from tworoman import (EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       generate, is_optimal, max_eccd, max_eccd_reference,
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
+from tworoman import limits
+from tworoman.solver import _Discharge, _adj_list, _residual_bound
 
 
 def fam(kind, *params):
@@ -81,6 +84,104 @@ class TestGammaBruteforce:
         a = gamma_bruteforce(g)
         b = gamma_bruteforce(g)
         assert a.gamma == b.gamma and a.labeling == b.labeling
+
+
+def _random_graph(rng, n, p):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+
+
+class TestDischargeBound:
+    """The residual bound never exceeds what a minimum labeling still needs."""
+
+    @staticmethod
+    def _prefix_orders(adj):
+        n = len(adj)
+        by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        return by_degree, list(range(n))
+
+    def test_admissible_on_prefixes_of_minimum_labelings(self):
+        rng = random.Random(2023)
+        for _ in range(80):
+            n = rng.randint(1, 7)
+            g = _random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.7)))
+            adj = _adj_list(g)
+            for attack in (1, 2, 3):
+                minima = naive_minimum_labelings(g, attack)
+                gamma = sum(minima[0])
+                bound = _Discharge(adj, attack)
+                for labels in minima:
+                    for order in self._prefix_orders(adj):
+                        und = (1 << n) - 1
+                        twos = wgt = 0
+                        state = bound.state(und)
+                        assert state[2] <= gamma
+                        for v in order:
+                            und &= ~(1 << v)
+                            low, high = bound.step(state, v, und, twos)
+                            state = high if labels[v] == 2 else low
+                            wgt += labels[v]
+                            if labels[v] == 2:
+                                twos |= 1 << v
+                            assert state == bound.state(und, twos)
+                            assert _residual_bound(adj, attack, und, twos) <= gamma - wgt, (
+                                n, list(g.edges()), attack, labels, order)
+
+    def test_isolated_vertices_cost_one_each(self):
+        g = build_graph(4, [(0, 1)])
+        adj = _adj_list(g)
+        for attack in (1, 2):
+            assert _residual_bound(adj, attack, 0b1111, 0) == 4
+            assert _residual_bound(adj, attack, 0b1100, 0b0001) == 2
+            assert gamma_bruteforce(g, SolveOptions(attack_n=attack)).gamma == 4
+
+    @pytest.mark.parametrize("attack", [1, 2, 3])
+    def test_matches_naive_oracle_with_caps(self, attack):
+        rng = random.Random(300 + attack)
+        orders = list(range(9)) + [7, 8, 8, 8] + [rng.randint(1, 8) for _ in range(12)]
+        for n in orders:
+            g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            valid = naive_valid_labelings(g, attack)
+            for cap in (None, 0, 1, 2):
+                allowed = [labs for labs in valid
+                           if cap is None or labs.count(2) <= cap]
+                gamma = min(sum(labs) for labs in allowed)
+                minima = [labs for labs in allowed if sum(labs) == gamma]
+                result = gamma_bruteforce(g, SolveOptions(
+                    attack_n=attack, max_twos=cap, enumerate_all=True))
+                case = (n, list(g.edges()), attack, cap)
+                assert result.gamma == gamma, case
+                assert result.labeling.labels == minima[0], case
+                assert [m.labels for m in result.all_minimum] == minima, case
+
+    def test_c24_pin(self):
+        assert gamma_bruteforce(fam("cycle", 24)).gamma == 20
+
+    def test_c18_node_pin(self):
+        result = gamma_bruteforce(fam("cycle", 18))
+        assert result.gamma == 15
+        assert result.stats.nodes <= 2000
+
+
+class TestLimits:
+    def test_override(self, monkeypatch):
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", "7")
+        assert limits.bruteforce_max_order() == 7
+        assert limits.enumeration_max_order() == 7
+        assert limits.eccd_max_order() == 7
+
+    def test_unset_gives_defaults(self, monkeypatch):
+        monkeypatch.delenv("TWO_RD_MAX_ORDER", raising=False)
+        assert limits.bruteforce_max_order() == limits.DEFAULT_BRUTEFORCE_MAX_ORDER
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "", "1.5"])
+    def test_bad_value_is_an_error(self, monkeypatch, raw):
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", raw)
+        with pytest.raises(BadLimitError) as info:
+            limits.bruteforce_max_order()
+        assert "TWO_RD_MAX_ORDER" in str(info.value)
+        assert repr(raw) in str(info.value)
+        assert info.value.value == raw
 
 
 class TestEnumerate:
