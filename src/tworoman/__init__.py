@@ -1,10 +1,9 @@
 """Exact solver library for n-attack Roman domination on finite simple graphs."""
 
 from .errors import (BadLimitError, BadSpecError, DuplicateVertexError, EmptyGraphError,
-                     IncompatibleTorusError, InfeasibleError, InvalidEccdError,
-                     MixedLabelsError, NotMinimumError, OutOfRangeError,
-                     ParseError, SelfLoopError, TooLargeError, TwoRomanError,
-                     UnknownNeighborError)
+                     IncompatibleTorusError, InvalidEccdError, MixedLabelsError,
+                     NotMinimumError, OutOfRangeError, ParseError, SelfLoopError,
+                     TooLargeError, TwoRomanError, UnknownNeighborError)
 from .families import FamilySpec, density, density_lower_bound, gamma_formula, generate
 from .graph import (Graph, ball, build_graph, induced_subgraph, max_degree,
                     open_neighborhood)
@@ -16,7 +15,7 @@ from .solver import (EccdSet, OptimalityCertificate, SolveOptions, SolveResult,
                      SolveStats, assign_private_neighbors, check_eccd,
                      eccd_to_labeling, enumerate_minimum_labelings,
                      find_02020_path, gamma_bruteforce, gamma_via_eccd,
-                     is_optimal, max_eccd, max_eccd_reference, p5_candidates,
+                     is_optimal, max_eccd, p5_candidates,
                      solve, solve_finite_resources, strip_ones,
                      two_extremal_minimum)
 from .tilings import (Patch, PatchSpec, PatternReport, TilingPattern,

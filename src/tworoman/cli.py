@@ -165,8 +165,7 @@ def _cmd_tiling(args) -> int:
     width, height = _parse_size(args.size)
     if args.verify_pattern:
         pattern = tilings.find_pattern(args.kind)
-        report = tilings.verify_pattern(pattern, [(width, height)],
-                                        threads=args.threads)[0]
+        report = tilings.verify_pattern(pattern, [(width, height)])[0]
         if args.json:
             print(json.dumps({
                 "kind": args.kind, "width": width, "height": height,
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-pattern", action="store_true", dest="dump_pattern")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_tiling)
 

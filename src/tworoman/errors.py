@@ -43,15 +43,6 @@ class BadLimitError(TwoRomanError):
         self.value = value
 
 
-class InfeasibleError(TwoRomanError):
-    """No labeling satisfies the requested constraints.
-
-    Cannot occur for the constraints currently supported (the all-1 labeling
-    is always valid and uses no 2-labels); reserved for future constraint
-    kinds.
-    """
-
-
 class InvalidEccdError(TwoRomanError):
     """A path collection violates the end-coupled center-disjoint rules."""
 

@@ -54,6 +54,13 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work done by one solve.
+
+    ``nodes`` counts the branch-and-bound nodes of the optimum pass for the
+    ``bruteforce`` route, and for the ``eccd`` route the inner sets that reach
+    the per-set test of the packing sweep.
+    """
+
     nodes: int
     elapsed: float
     method: str
@@ -545,49 +552,6 @@ def p5_candidates(graph: Graph) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def _tuples_compatible(t, u) -> bool:
-    if t[2] in u or u[2] in t:
-        return False
-    uset = set(u)
-    tset = set(t)
-    for leaf, inner in ((t[0], t[1]), (t[4], t[3])):
-        if leaf in uset or inner in uset:
-            if (u[0], u[1]) != (leaf, inner) and (u[4], u[3]) != (leaf, inner):
-                return False
-    for leaf, inner in ((u[0], u[1]), (u[4], u[3])):
-        if leaf in tset or inner in tset:
-            if (t[0], t[1]) != (leaf, inner) and (t[4], t[3]) != (leaf, inner):
-                return False
-    return True
-
-
-def max_eccd_reference(graph: Graph) -> EccdSet:
-    """Straight set-packing search over explicit P5 candidates.
-
-    Exponential in the candidate count; intended as an independent reference
-    for cross-checking ``max_eccd`` on small graphs.
-    """
-    cands = p5_candidates(graph)
-    best: list[tuple] = []
-    chosen: list[tuple] = []
-
-    def rec(start):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + (len(cands) - start) <= len(best):
-            return
-        for k in range(start, len(cands)):
-            t = cands[k]
-            if all(_tuples_compatible(t, u) for u in chosen):
-                chosen.append(t)
-                rec(k + 1)
-                chosen.pop()
-
-    rec(0)
-    return EccdSet(tuple(sorted(best)))
-
-
 def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
     """Maximum packing size via the oriented-matching reduction.
 
@@ -596,41 +560,112 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
     distinct inners; conversely any such triple assembles into a valid
     packing.  So it suffices to sweep inner sets I, match each inner to a
     distinct leaf outside I (preferring leaves that are not potential
-    centers), and count the unused vertices with >= 2 neighbors in I.
+    centers), and count the unused vertices with >= 2 neighbors in I, the
+    potential centers P(I).  The score of I is |P(I)| minus the fewest
+    leaves that must sit in P(I).
+
+    Sets are visited in (size, lex) order by a DFS, and the first set to
+    strictly beat the incumbent replaces it, so the result is the first set
+    of maximum score in that order.  Only sets that cannot strictly beat the
+    incumbent are skipped, which leaves the result unchanged:
+
+    (a) Inners are drawn from the vertices of degree >= 2, and the DFS keeps
+        the vertices covered once (``one``) and at least twice (``two``), so
+        P(I) = two & ~I costs O(1).  An inner of degree <= 1 either has no
+        leaf or has its leaf as its only neighbor, so dropping it loses no
+        center.
+    (b) Per set: skip when |P(I)| <= best, or when some inner has no
+        neighbor outside I or none in P(I).  Dropping that inner gives a
+        smaller set, swept earlier, that keeps every center and leaf.
+    (c) Per size: ub(s) = min(n - 2s, floor(sum of the s largest deg-1 / 2))
+        (``_eccd_size_bounds``), since each center takes two inner neighbors
+        and each inner spends one neighbor on its leaf.  Sizes with
+        ub(s) <= best are skipped, and the sweep stops once best >= ub(s')
+        for every s' >= s.
+    (d) Per DFS node: every later center is outside I and ends with two
+        neighbors in I, so it is in ``two``, in ``one`` with a neighbor
+        among the remaining candidates (``suf1``), or has two neighbors
+        among them (``suf2``; not when one inner is left).  Prune when that
+        count is <= best.
+
+    ``nodes`` counts the inner sets that reach the per-set test (b).
     """
     n = len(adj)
     nodes = 0
     if n < 5:
         return 0, None, nodes
     full = (1 << n) - 1
+    cands = [v for v in range(n) if adj[v].bit_count() >= 2]
+    m = len(cands)
+    suf1 = [0] * (m + 1)
+    suf2 = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        a = adj[cands[k]]
+        suf2[k] = suf2[k + 1] | suf1[k + 1] & a
+        suf1[k] = suf1[k + 1] | a
+    ub = _eccd_size_bounds(adj)
     best_score = 0
     best_sol = None
-    for s in range(2, n // 2 + 1):
-        if n - 2 * s <= best_score:
-            break
-        for inners in combinations(range(n), s):
-            nodes += 1
-            imask = mask_of(inners)
-            if any(adj[i] & ~imask & full == 0 for i in inners):
-                continue
-            pmask = 0
-            rest = full & ~imask
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if (adj[b.bit_length() - 1] & imask).bit_count() >= 2:
-                    pmask |= b
-            p_count = pmask.bit_count()
-            if p_count <= best_score:
-                continue
-            found = _min_cost_leaf_assignment(
-                adj, inners, imask, pmask, p_count - best_score, full)
-            if found is None:
-                continue
+    chosen: list[int] = []
+
+    def try_set(inners, imask, pmask):
+        nonlocal best_score, best_sol
+        p_count = pmask.bit_count()
+        for i in inners:
+            if adj[i] & ~imask == 0 or adj[i] & pmask == 0:
+                return
+        found = _min_cost_leaf_assignment(
+            adj, inners, imask, pmask, p_count - best_score, full)
+        if found is not None:
             cost, assign = found
             best_score = p_count - cost
             best_sol = (imask, assign, pmask)
+
+    def sweep(k, need, imask, one, two):
+        nonlocal nodes
+        if need == 1:
+            # Last inner: read P(I) of each child off the masks directly.
+            base = two & ~imask
+            once = one & ~imask
+            if (base | once & suf1[k]).bit_count() <= best_score:
+                return
+            for j in range(k, m):
+                v = cands[j]
+                bit = 1 << v
+                pmask = (base | once & adj[v]) & ~bit
+                nodes += 1
+                if pmask.bit_count() > best_score:
+                    try_set((*chosen, v), imask | bit, pmask)
+            return
+        if ((two | one & suf1[k] | suf2[k]) & ~imask).bit_count() <= best_score:
+            return
+        for j in range(k, m - need + 1):
+            v = cands[j]
+            a = adj[v]
+            both = one & a
+            chosen.append(v)
+            sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both)
+            chosen.pop()
+
+    for s in range(2, len(ub)):
+        if best_score >= max(ub[s:]):
+            break
+        if ub[s] > best_score:
+            sweep(0, s, 0, 0, 0)
     return best_score, best_sol, nodes
+
+
+def _eccd_size_bounds(adj: list[int]) -> list[int]:
+    """ub[s] >= the score of every inner set of size s, for s <= min(n//2, m),
+    m the number of vertices of degree >= 2.
+
+    A set of size s has n - 2s vertices left once inners and leaves are
+    placed, and each inner i meets at most deg(i) - 1 centers, each center
+    two inners.
+    """
+    gains = sorted((a.bit_count() - 1 for a in adj if a.bit_count() >= 2), reverse=True)
+    n = len(adj)
+    return [min(n - 2 * s, sum(gains[:s]) // 2) for s in range(min(n // 2, len(gains)) + 1)]
 
 
 def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget, full):

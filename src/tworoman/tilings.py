@@ -16,7 +16,6 @@ Lattice realizations (vertex (x, y), id = y*width + x):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,7 +215,7 @@ class PatternReport:
     witness: tuple[int, ...] | None = None
 
 
-def verify_pattern(pattern: TilingPattern, sizes, threads: int = 1) -> list[PatternReport]:
+def verify_pattern(pattern: TilingPattern, sizes) -> list[PatternReport]:
     """Validate the pattern on each torus size and report exact densities.
 
     Validity is size-independent: the attack-2 conditions only inspect a
@@ -225,21 +224,15 @@ def verify_pattern(pattern: TilingPattern, sizes, threads: int = 1) -> list[Patt
     with those translates.  Checking two sizes per kind in the test suite
     exercises that argument empirically.
     """
-    sizes = list(sizes)
-
-    def one(size):
-        w, h = size
+    reports = []
+    for w, h in sizes:
         patch = generate_patch(PatchSpec(pattern.kind, w, h, "torus"))
         labeling = pattern_labeling(pattern, patch)
         report = validate(labeling, 2)
-        return PatternReport(w, h, report.valid,
-                             Fraction(labeling.weight, patch.graph.order),
-                             labeling.weight, patch.graph.order, report.witness)
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, sizes))
-    return [one(size) for size in sizes]
+        reports.append(PatternReport(w, h, report.valid,
+                                     Fraction(labeling.weight, patch.graph.order),
+                                     labeling.weight, patch.graph.order, report.witness))
+    return reports
 
 
 def pattern_table(pattern: TilingPattern) -> str:

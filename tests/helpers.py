@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from tworoman import Graph, Labeling, build_graph, validate_by_enumeration
+from hypothesis import strategies as st
+from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
+                      validate_by_enumeration)
+from tworoman.graph import mask_of
+from tworoman.solver import _min_cost_leaf_assignment
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -36,6 +40,105 @@ def naive_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[tuple[int, 
     valid = naive_valid_labelings(graph, attack_n)
     gamma = min(sum(labels) for labels in valid)
     return [labels for labels in valid if sum(labels) == gamma]
+
+
+def _tuples_compatible(t, u) -> bool:
+    if t[2] in u or u[2] in t:
+        return False
+    uset = set(u)
+    tset = set(t)
+    for leaf, inner in ((t[0], t[1]), (t[4], t[3])):
+        if leaf in uset or inner in uset:
+            if (u[0], u[1]) != (leaf, inner) and (u[4], u[3]) != (leaf, inner):
+                return False
+    for leaf, inner in ((u[0], u[1]), (u[4], u[3])):
+        if leaf in tset or inner in tset:
+            if (t[0], t[1]) != (leaf, inner) and (t[4], t[3]) != (leaf, inner):
+                return False
+    return True
+
+
+def max_eccd_reference(graph: Graph) -> EccdSet:
+    """Straight set-packing search over explicit P5 candidates.
+
+    Exponential in the candidate count; an independent reference for
+    cross-checking ``max_eccd`` on small graphs.
+    """
+    cands = p5_candidates(graph)
+    best: list[tuple] = []
+    chosen: list[tuple] = []
+
+    def rec(start):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + (len(cands) - start) <= len(best):
+            return
+        for k in range(start, len(cands)):
+            t = cands[k]
+            if all(_tuples_compatible(t, u) for u in chosen):
+                chosen.append(t)
+                rec(k + 1)
+                chosen.pop()
+
+    rec(0)
+    return EccdSet(tuple(sorted(best)))
+
+
+def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
+    """The unpruned inner-set sweep that ``solver._max_eccd_engine`` replaces.
+
+    Visits every inner set in (size, lex) order and keeps the first one that
+    strictly beats the incumbent; the pruned engine must return the same
+    (score, solution).
+    """
+    n = len(adj)
+    nodes = 0
+    if n < 5:
+        return 0, None, nodes
+    full = (1 << n) - 1
+    best_score = 0
+    best_sol = None
+    for s in range(2, n // 2 + 1):
+        if n - 2 * s <= best_score:
+            break
+        for inners in combinations(range(n), s):
+            nodes += 1
+            imask = mask_of(inners)
+            if any(adj[i] & ~imask & full == 0 for i in inners):
+                continue
+            pmask = 0
+            rest = full & ~imask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if (adj[b.bit_length() - 1] & imask).bit_count() >= 2:
+                    pmask |= b
+            p_count = pmask.bit_count()
+            if p_count <= best_score:
+                continue
+            found = _min_cost_leaf_assignment(
+                adj, inners, imask, pmask, p_count - best_score, full)
+            if found is None:
+                continue
+            cost, assign = found
+            best_score = p_count - cost
+            best_sol = (imask, assign, pmask)
+    return best_score, best_sol, nodes
+
+
+def eccd_set_score(adj: list[int], inners) -> int | None:
+    """Centers a packing with exactly these inners can have, or None when the
+    inners cannot all get distinct leaves."""
+    full = (1 << len(adj)) - 1
+    imask = mask_of(inners)
+    pmask = 0
+    for v in range(len(adj)):
+        if not imask >> v & 1 and (adj[v] & imask).bit_count() >= 2:
+            pmask |= 1 << v
+    p_count = pmask.bit_count()
+    found = _min_cost_leaf_assignment(adj, tuple(inners), imask, pmask, p_count + 1, full)
+    return None if found is None else p_count - found[0]
 
 
 def _connected(n: int, adj: list[int]) -> bool:
@@ -93,6 +196,17 @@ def sampled_connected_graphs(order: int, count: int, seed: int):
         if graph is not None:
             out.append(graph)
     return out
+
+
+def graphs(max_order=9):
+    """Random graph strategy: order plus an edge-presence mask."""
+    @st.composite
+    def _graph(draw):
+        n = draw(st.integers(min_value=0, max_value=max_order))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
+    return _graph()
 
 
 def random_graphs(count: int, seed: int, orders=(8, 9, 10, 11, 12),

@@ -152,7 +152,7 @@ class TestTiling:
 
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "tiling", "square", "--size", "14x14",
-                           "--verify-pattern", "--json", "--threads", "2")
+                           "--verify-pattern", "--json")
         doc = json.loads(out)
         assert code == 0
         assert doc["valid"] is True and doc["density"] == "4/7"
@@ -220,6 +220,11 @@ class TestExitCodes:
     def test_solve_has_no_threads_flag(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
                            "--threads", "2")
+        assert code == 2 and "--threads" in err
+
+    def test_tiling_has_no_threads_flag(self, capsys):
+        code, _, err = run(capsys, "tiling", "square", "--size", "14x14",
+                           "--verify-pattern", "--threads", "2")
         assert code == 2 and "--threads" in err
 
     def test_no_command(self, capsys):

@@ -2,21 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eccd_showcase_graph
+from helpers import eccd_showcase_graph, graphs
 from tworoman import (EmptyGraphError, FamilySpec, OutOfRangeError, SelfLoopError,
                       ball, build_graph, generate, induced_subgraph, max_degree,
                       open_neighborhood)
-
-
-def graphs(max_order=9):
-    """Random graph strategy: order plus an edge-presence mask."""
-    @st.composite
-    def _graph(draw):
-        n = draw(st.integers(min_value=0, max_value=max_order))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        return build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
-    return _graph()
 
 
 class TestBuildGraph:

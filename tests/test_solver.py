@@ -1,20 +1,24 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import (allepn_labelings, eccd_showcase_graph, naive_gamma,
-                     naive_minimum_labelings, naive_valid_labelings,
+from helpers import (allepn_labelings, eccd_set_score, eccd_showcase_graph,
+                     eccd_sweep_reference, graphs, max_eccd_reference, naive_gamma,
+                     naive_minimum_labelings, naive_valid_labelings, random_graphs,
                      sampled_connected_graphs)
 from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
                       eccd_to_labeling, enumerate_minimum_labelings,
                       find_02020_path, gamma_bruteforce, gamma_via_eccd,
-                      generate, is_optimal, max_eccd, max_eccd_reference,
+                      generate, is_optimal, max_eccd,
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
-from tworoman import limits
-from tworoman.solver import _Discharge, _adj_list, _residual_bound
+from tworoman import limits, solver as solver_module, tilings
+from tworoman.solver import (_assemble_eccd, _Discharge, _adj_list, _eccd_size_bounds,
+                             _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound)
 
 
 def fam(kind, *params):
@@ -283,6 +287,79 @@ class TestEccd:
     def test_deterministic(self):
         g = eccd_showcase_graph()
         assert max_eccd(g) == max_eccd(g)
+
+
+class TestEccdPruning:
+    """The pruned sweep returns exactly what the unpruned sweep returns."""
+
+    @staticmethod
+    def _assert_same_as_sweep(g):
+        adj = _adj_list(g)
+        score, sol, _ = eccd_sweep_reference(adj)
+        assert _max_eccd_engine(adj)[:2] == (score, sol)
+        packing = _assemble_eccd(g, score, sol)
+        assert max_eccd(g) == packing
+        labels = eccd_to_labeling(g, packing).labels
+        assert gamma_via_eccd(g).labeling.labels == labels
+        optimal, cert = is_optimal(g)
+        assert optimal == (score > 0)
+        if optimal:
+            assert (cert.path, cert.labeling.labels) == (packing.paths[0], labels)
+        else:
+            assert cert is None
+
+    def test_random_batch(self):
+        for g in random_graphs(200, seed=1202):
+            self._assert_same_as_sweep(g)
+
+    def test_sampled_order_seven(self):
+        for g in sampled_connected_graphs(7, 250, seed=701):
+            self._assert_same_as_sweep(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(12))
+    def test_hypothesis_graphs(self, g):
+        self._assert_same_as_sweep(g)
+
+    @pytest.mark.parametrize("g", [fam("cycle", 20), fam("grid", 4, 5),
+                                   tilings.ball_graph("triangular", 2)],
+                             ids=["C20", "grid4x5", "triball2"])
+    def test_bench_graphs(self, g):
+        self._assert_same_as_sweep(g)
+
+    def test_size_bound_admissible(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            n = rng.randint(5, 9)
+            adj = _adj_list(_random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))))
+            ub = _eccd_size_bounds(adj)
+            for s in range(2, len(ub)):
+                for inners in combinations(range(n), s):
+                    score = eccd_set_score(adj, inners)
+                    assert score is None or score <= ub[s], (adj, inners)
+
+    def test_c20_work_budget(self, monkeypatch):
+        # Pins that fail when the size bound (c) or the per-set filter (b) is
+        # lost: 28,436 sets and 1,381 leaf assignments with every prune.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _min_cost_leaf_assignment(*args)
+
+        monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", counting)
+        result = gamma_via_eccd(fam("cycle", 20))
+        assert result.gamma == 16
+        assert result.stats.nodes <= 32_000
+        assert len(calls) <= 1_500
+
+    def test_pendant_vertices_are_never_inners(self):
+        # A path of 10 with a pendant on every vertex: 24 sets reach the
+        # per-set test, over 10,000 if degree-1 vertices were candidates.
+        edges = [(i, i + 1) for i in range(9)] + [(i, 10 + i) for i in range(10)]
+        result = gamma_via_eccd(build_graph(20, edges))
+        assert result.gamma == 16
+        assert result.stats.nodes <= 100
 
 
 class TestEccdToLabeling:

@@ -87,11 +87,6 @@ class TestPatterns:
             assert report.valid
             assert report.density == TARGETS[kind]
 
-    def test_threaded_verification_matches(self):
-        sizes = [(7, 7), (14, 14)]
-        pattern = find_pattern("square")
-        assert verify_pattern(pattern, sizes, threads=2) == verify_pattern(pattern, sizes)
-
     def test_all_one_pattern_valid_everywhere(self):
         ones = TilingPattern("square", 1, 1, 1, 0, (1,))
         report = verify_pattern(ones, [(5, 5)])[0]
