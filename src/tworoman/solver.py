@@ -271,17 +271,37 @@ def _residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int)
 # ---------------------------------------------------------------------------
 
 
+def _seal_order(adj: list[int]) -> list[int]:
+    """Frontier vertex order for the searches that may pick their own order.
+
+    Each next vertex has the most already-ordered neighbors, then the fewest
+    unordered neighbors, then the lowest id; so the order starts at a
+    minimum-degree vertex and sweeps across the graph like the column sweep
+    of the transfer-matrix method for grid domination.  Neighborhoods are
+    completed early, which lets ``_seal_conflict`` and the forced set of
+    ``_Discharge`` cut near the root.
+    """
+    order = []
+    placed = 0
+    left = (1 << len(adj)) - 1
+    while left:
+        v = min(iter_bits(left), key=lambda u: (
+            -(adj[u] & placed).bit_count(), (adj[u] & left).bit_count(), u))
+        order.append(v)
+        placed |= 1 << v
+        left ^= 1 << v
+    return order
+
+
 def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None) -> tuple[int, int]:
     """Minimum weight over valid labelings; returns (gamma, nodes explored).
 
-    Vertices are explored in descending-degree order (ties by id) and labels
-    in the order 0, 2, 1; high-degree vertices seal their neighborhoods
-    fastest.
+    Vertices are explored in ``_seal_order`` and labels in the order 0, 2, 1.
     """
     n = len(adj)
     if n == 0:
         return 0, 1
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    order = _seal_order(adj)
     use_pairs = attack_n >= 2
     best = n  # the all-1 labeling is always valid
     nodes = 0
@@ -415,7 +435,7 @@ def _extremal_twos(adj, attack_n, gamma, maximize: bool) -> int:
     if n == 0:
         return 0
     use_pairs = attack_n >= 2
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    order = _seal_order(adj)
     labels = [0] * n
     if maximize:
         best = -1
@@ -463,13 +483,16 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
 
     Subtrees are cut with the residual discharging bound of ``_Discharge``
     (the paper's gamma >= 4n/(Delta + 3), applied to the undecided part).
-    The cost grows with how far that bound falls below gamma, not with the
-    order alone.  Measured on one core of a 2-vCPU Xeon with Python 3.11:
-    C24 takes 0.003 s and C30 less; grid 4x5, the triangular ball of radius
-    2 (19 vertices) and the square ball of radius 3 (25 vertices) take
-    0.6-0.8 s each; grid 5x5 takes 7 s and 2.1 M nodes.  The witness is the
-    lexicographically smallest minimum label vector, found by a second
-    budgeted pass.
+    The optimum pass labels vertices in ``_seal_order``.  The cost grows with
+    how far the bound falls below gamma and with the width of the frontier
+    that order leaves, not with the order alone.  Measured on one core of a
+    2-vCPU Xeon with Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5,
+    the square ball of radius 3 (25 vertices) and the triangular ball of
+    radius 2 (19 vertices) take 0.03-0.1 s each; grid 6x6 and the
+    triangular ball of radius 3 (37 vertices) take about 2 s each.  Grid
+    4x8 still takes about 20 s (4 M nodes), because the sweep runs along its
+    rows of 8.  The witness is the lexicographically smallest minimum label
+    vector, found by a second budgeted pass in id order.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()

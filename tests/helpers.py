@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import mask_of
-from tworoman.solver import _min_cost_leaf_assignment
+from tworoman.solver import (_Discharge, _labels_valid, _min_cost_leaf_assignment,
+                             _seal_conflict)
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -139,6 +140,53 @@ def eccd_set_score(adj: list[int], inners) -> int | None:
     p_count = pmask.bit_count()
     found = _min_cost_leaf_assignment(adj, tuple(inners), imask, pmask, p_count + 1, full)
     return None if found is None else p_count - found[0]
+
+
+def bb_gamma_degree_order(adj: list[int], attack_n: int,
+                          max_twos: int | None) -> tuple[int, int]:
+    """The branch and bound of ``solver._bb_gamma`` over vertices in
+    descending-degree order (ties by id), the order it used before
+    ``_seal_order``; returns (gamma, nodes).  The vertex order may change the
+    node count but never gamma.
+    """
+    n = len(adj)
+    if n == 0:
+        return 0, 1
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    use_pairs = attack_n >= 2
+    best = n
+    nodes = 0
+    labels = [1] * n
+    bound = _Discharge(adj, attack_n)
+
+    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
+        nonlocal best, nodes
+        nodes += 1
+        if idx == n:
+            if _labels_valid(adj, labels, attack_n):
+                best = wgt
+            return
+        v = order[idx]
+        vbit = 1 << v
+        und2 = und_mask & ~vbit
+        low, high = bound.step(state, v, und2, two_mask)
+        for lab in (0, 2, 1):
+            if lab == 2 and max_twos is not None and twos == max_twos:
+                continue
+            st = high if lab == 2 else low
+            if wgt + lab + st[2] >= best:
+                continue
+            z2 = zero_mask | vbit if lab == 0 else zero_mask
+            t2 = two_mask | vbit if lab == 2 else two_mask
+            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
+                continue
+            labels[v] = lab
+            rec(idx + 1, z2, t2, und2, wgt + lab, twos + (lab == 2), st)
+        labels[v] = 1
+
+    full = (1 << n) - 1
+    rec(0, 0, 0, full, 0, 0, bound.state(full))
+    return best, nodes
 
 
 def _connected(n: int, adj: list[int]) -> bool:

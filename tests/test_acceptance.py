@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The shared corpus
 seeded random batch up to order 12) is built once per session.
 """
 
-import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -230,11 +229,9 @@ def test_criterion_10_roundtrip_and_exit_codes(fixtures_dir, tmp_path, capsys):
         info["fixtures"] = len(names)
 
 
-@pytest.mark.skipif(not os.environ.get("TWO_RD_RUN_SLOW"),
-                    reason="long-running optional check; set TWO_RD_RUN_SLOW=1")
 def test_optional_sierpinski_unique_two_count(monkeypatch):
     """Third-iteration triangle fixture: 2-minimized and 2-maximized minimum
-    labelings should use the same number of 2-labels (non-gating)."""
+    labelings use the same number of 2-labels."""
     monkeypatch.setenv("TWO_RD_MAX_ORDER", "42")
     graph = sierpinski_graph(3)
     low = two_extremal_minimum(graph, "minimize_twos")

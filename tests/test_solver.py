@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import (allepn_labelings, eccd_set_score, eccd_showcase_graph,
-                     eccd_sweep_reference, graphs, max_eccd_reference, naive_gamma,
-                     naive_minimum_labelings, naive_valid_labelings, random_graphs,
-                     sampled_connected_graphs)
+from helpers import (allepn_labelings, bb_gamma_degree_order, eccd_set_score,
+                     eccd_showcase_graph, eccd_sweep_reference, graphs,
+                     max_eccd_reference, naive_gamma, naive_minimum_labelings,
+                     naive_valid_labelings, random_graphs, sampled_connected_graphs,
+                     sierpinski_graph)
 from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
@@ -17,8 +18,10 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
 from tworoman import limits, solver as solver_module, tilings
-from tworoman.solver import (_assemble_eccd, _Discharge, _adj_list, _eccd_size_bounds,
-                             _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound)
+from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
+                             _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
+                             _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound,
+                             _seal_order)
 
 
 def fam(kind, *params):
@@ -100,9 +103,7 @@ class TestDischargeBound:
 
     @staticmethod
     def _prefix_orders(adj):
-        n = len(adj)
-        by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-        return by_degree, list(range(n))
+        return _seal_order(adj), list(range(len(adj)))
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
         rng = random.Random(2023)
@@ -165,6 +166,74 @@ class TestDischargeBound:
         result = gamma_bruteforce(fam("cycle", 18))
         assert result.gamma == 15
         assert result.stats.nodes <= 2000
+
+
+class TestSealOrder:
+    """The frontier vertex order of the optimum and extremal searches."""
+
+    @pytest.mark.parametrize("g", [
+        build_graph(0, []), build_graph(1, []), build_graph(5, []),
+        build_graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
+        fam("star", 4), fam("grid", 3, 4), fam("complete", 5),
+    ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
+    def test_greedy_rule(self, g):
+        adj = _adj_list(g)
+        order = _seal_order(adj)
+        assert sorted(order) == list(range(g.order))
+        placed = 0
+        for v in order:
+            left = (1 << g.order) - 1 & ~placed
+
+            def key(u):
+                return (-(adj[u] & placed).bit_count(), (adj[u] & left).bit_count(), u)
+
+            assert all(key(v) <= key(u) for u in range(g.order) if left >> u & 1)
+            placed |= 1 << v
+
+    def test_grid_sweep_keeps_one_row_on_the_frontier(self):
+        g = fam("grid", 4, 6)
+        adj = _adj_list(g)
+        order = _seal_order(adj)
+        assert order[0] == 0
+        placed = 0
+        for v in order:
+            placed |= 1 << v
+            frontier = [u for u in range(g.order)
+                        if placed >> u & 1 and adj[u] & ~placed]
+            assert len(frontier) <= 6
+
+    @pytest.mark.parametrize("attack", [1, 2, 3])
+    def test_gamma_matches_degree_order(self, attack):
+        rng = random.Random(500 + attack)
+        for _ in range(40):
+            n = rng.randint(0, 13)
+            g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+            adj = _adj_list(g)
+            for cap in (None, 0, 1, 2):
+                want = bb_gamma_degree_order(adj, attack, cap)[0]
+                assert _bb_gamma(adj, attack, cap)[0] == want, (n, list(g.edges()), attack, cap)
+
+    def test_extremal_twos_match_enumeration(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            n = rng.randint(1, 11)
+            g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            adj = _adj_list(g)
+            gamma = _bb_gamma(adj, 2, None)[0]
+            counts = {labs.count(2) for labs in _iter_exact_weight(adj, 2, gamma)}
+            case = (n, list(g.edges()))
+            assert _extremal_twos(adj, 2, gamma, maximize=False) == min(counts), case
+            assert _extremal_twos(adj, 2, gamma, maximize=True) == max(counts), case
+
+    @pytest.mark.parametrize("g,gamma,limit", [
+        (fam("grid", 4, 4), 11, 1_000),
+        (fam("grid", 5, 5), 17, 40_000),
+        (sierpinski_graph(3), 24, 2_000),
+    ], ids=["grid4x4", "grid5x5", "sierpinski42"])
+    def test_node_pins(self, g, gamma, limit):
+        result = gamma_bruteforce(g)
+        assert result.gamma == gamma
+        assert result.stats.nodes <= limit
 
 
 class TestLimits:
