@@ -80,7 +80,8 @@ def _cmd_solve(args) -> int:
             "optimal_number": result.optimal_number,
             "stats": {"nodes": result.stats.nodes,
                       "elapsed": result.stats.elapsed,
-                      "method": result.stats.method},
+                      "method": result.stats.method,
+                      "frontier_width": result.stats.frontier_width},
         }
         if result.feasible_two_counts is not None:
             extra["feasible_two_counts"] = list(result.feasible_two_counts)

@@ -85,18 +85,43 @@ def public_set(labeling: Labeling) -> frozenset[int]:
     return frozenset(out)
 
 
-def _pair_witness(adj, zeros, two_mask) -> tuple[int, int] | None:
-    """Lexicographically first pair of 0-vertices sharing one unique 2-neighbor."""
-    groups: dict[int, list[int]] = {}
+def first_violation(adj: list[int], labels, attack_n: int) -> tuple[int, ...] | None:
+    """First set of 0-vertices that breaks the ``attack_n`` condition, or None.
+
+    ``adj`` holds the adjacency masks and ``labels`` the label vector.  Sets
+    are ordered by size, then lexicographically, as subset enumeration
+    would visit them.  Sizes 1 and 2 take one pass over the 0s: a 0 with no
+    2-neighbor, then the first pair of 0s sharing one unique 2-neighbor (the
+    only way two 0s that each have a 2-neighbor can see fewer than two 2s).
+    Scanning the 0s in id order, a pair is kept when its first member is
+    smaller than the kept one's, so the kept pair is lexicographically first.
+    Sizes 3 and up enumerate subsets.
+    """
+    two_mask = 0
+    zeros = []
+    for v, lab in enumerate(labels):
+        if lab == 2:
+            two_mask |= 1 << v
+        elif lab == 0:
+            zeros.append(v)
+    use_pairs = attack_n >= 2
+    first: dict[int, int] = {}
+    pair = None
     for v in zeros:
         t = adj[v] & two_mask
-        if t and t & (t - 1) == 0:
-            groups.setdefault(t, []).append(v)
-    best = None
-    for members in groups.values():
-        if len(members) >= 2 and (best is None or members[0] < best[0]):
-            best = (members[0], members[1])
-    return best
+        if t == 0:
+            return (v,)
+        if use_pairs and t & (t - 1) == 0:
+            u = first.setdefault(t, v)
+            if u != v and (pair is None or u < pair[0]):
+                pair = (u, v)
+    if pair is not None:
+        return pair
+    for j in range(3, attack_n + 1):
+        hit = _first_violation_of_size(adj, zeros, two_mask, j)
+        if hit is not None:
+            return hit
+    return None
 
 
 def validate(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
@@ -111,24 +136,11 @@ def validate(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
         raise ValueError("attack_n must be >= 1")
     g = labeling.graph
     adj = [g.adjacency_mask(v) for v in range(g.order)]
-    two_mask = labeling.label_mask(2)
-    zeros = [v for v, lab in enumerate(labeling.labels) if lab == 0]
-
-    for v in zeros:
-        if adj[v] & two_mask == 0:
-            return ValidationReport(False, attack_n, (v,))
-    if attack_n >= 2:
-        pair = _pair_witness(adj, zeros, two_mask)
-        if pair is not None:
-            return ValidationReport(False, attack_n, pair)
-    for j in range(3, attack_n + 1):
-        hit = _first_violation(adj, zeros, two_mask, j)
-        if hit is not None:
-            return ValidationReport(False, attack_n, hit)
-    return ValidationReport(True, attack_n)
+    witness = first_violation(adj, labeling.labels, attack_n)
+    return ValidationReport(witness is None, attack_n, witness)
 
 
-def _first_violation(adj, zeros, two_mask, j) -> tuple[int, ...] | None:
+def _first_violation_of_size(adj, zeros, two_mask, j) -> tuple[int, ...] | None:
     for subset in combinations(zeros, j):
         smask = 0
         nmask = 0
@@ -150,7 +162,7 @@ def validate_by_enumeration(labeling: Labeling, attack_n: int = 2) -> Validation
     two_mask = labeling.label_mask(2)
     zeros = [v for v, lab in enumerate(labeling.labels) if lab == 0]
     for j in range(1, attack_n + 1):
-        hit = _first_violation(adj, zeros, two_mask, j)
+        hit = _first_violation_of_size(adj, zeros, two_mask, j)
         if hit is not None:
             return ValidationReport(False, attack_n, hit)
     return ValidationReport(True, attack_n)

@@ -16,14 +16,14 @@ other; neither consults the other's answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import lcm
 
 from . import limits
 from .errors import InvalidEccdError, NotMinimumError, TooLargeError
 from .graph import Graph, iter_bits, mask_of
-from .labeling import Labeling, validate
+from .labeling import Labeling, first_violation, validate
 
 TWO_MODES = ("any", "minimize_twos", "maximize_twos")
 METHODS = ("bruteforce", "eccd", "auto")
@@ -58,12 +58,15 @@ class SolveStats:
 
     ``nodes`` counts the branch-and-bound nodes of the optimum pass for the
     ``bruteforce`` route, and for the ``eccd`` route the inner sets that reach
-    the per-set test of the packing sweep.
+    the per-set test of the packing sweep.  ``frontier_width`` is the largest
+    frontier width of the vertex order the optimum pass used (``None`` for
+    the ``eccd`` route).
     """
 
     nodes: int
     elapsed: float
     method: str
+    frontier_width: int | None = None
 
 
 @dataclass(frozen=True)
@@ -112,31 +115,8 @@ def _adj_list(graph: Graph) -> list[int]:
 
 
 def _labels_valid(adj: list[int], labels, attack_n: int) -> bool:
-    """Full validity of a complete label vector (fast pairs + j>=3 subsets)."""
-    two_mask = 0
-    for v, lab in enumerate(labels):
-        if lab == 2:
-            two_mask |= 1 << v
-    zeros = [v for v, lab in enumerate(labels) if lab == 0]
-    claims = {}
-    for v in zeros:
-        t = adj[v] & two_mask
-        if t == 0:
-            return False
-        if attack_n >= 2 and t & (t - 1) == 0:
-            if t in claims:
-                return False
-            claims[t] = v
-    for j in range(3, attack_n + 1):
-        for subset in combinations(zeros, j):
-            smask = 0
-            nmask = 0
-            for v in subset:
-                smask |= 1 << v
-                nmask |= adj[v]
-            if (nmask & ~smask & two_mask).bit_count() < j:
-                return False
-    return True
+    """Full validity of a complete label vector."""
+    return first_violation(adj, labels, attack_n) is None
 
 
 def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:
@@ -204,7 +184,14 @@ class _Discharge:
         for d in set(deg):
             scale = lcm(scale, d + slack)
         self.scale = scale
-        top = [max([deg[v]] + [deg[u] for u in iter_bits(a)]) for v, a in enumerate(adj)]
+        top = deg[:]
+        for v, a in enumerate(adj):
+            while a:
+                b = a & -a
+                a ^= b
+                d = deg[b.bit_length() - 1]
+                if d > top[v]:
+                    top[v] = d
         self.charge = [min(scale, need * scale // (m + slack)) for m in top]
         self.share = [2 * scale // (d + slack) for d in deg]
         self.bonus = self.share if attack_n >= 2 else [0] * len(adj)
@@ -271,37 +258,129 @@ def _residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int)
 # ---------------------------------------------------------------------------
 
 
-def _seal_order(adj: list[int]) -> list[int]:
-    """Frontier vertex order for the searches that may pick their own order.
+def _seal_scan(adj: list[int], start: int | None = None,
+               cap: int | None = None) -> tuple[list[int], int, int] | None:
+    """One greedy seal order with its frontier profile: (order, score, width).
 
     Each next vertex has the most already-ordered neighbors, then the fewest
-    unordered neighbors, then the lowest id; so the order starts at a
-    minimum-degree vertex and sweeps across the graph like the column sweep
-    of the transfer-matrix method for grid domination.  Neighborhoods are
-    completed early, which lets ``_seal_conflict`` and the forced set of
-    ``_Discharge`` cut near the root.
+    unordered neighbors, then the lowest tie rank; so the order completes
+    neighborhoods early, which lets ``_seal_conflict`` and the forced set of
+    ``_Discharge`` cut near the root.  Without ``start`` the tie rank is the
+    id and the order begins at the first minimum-degree vertex.  With
+    ``start`` the order begins there and the tie rank is (BFS distance from
+    ``start``, id).
+
+    The frontier of a prefix is its vertices that still have an unordered
+    neighbor; ``score`` sums the squared frontier width over all prefixes
+    and ``width`` is the largest one.  The scan gives up and returns None
+    once the score reaches ``cap``.  Only unordered neighbors of ordered
+    vertices can win while there are any, so they form the candidate pool,
+    and each vertex keeps its key as one integer that drops by a constant
+    when a neighbor is ordered.
     """
+    n = len(adj)
+    base = n * (n + 1)
+    if start is None:
+        by_rank = list(range(n))
+        key = [(base + a.bit_count()) * n + u for u, a in enumerate(adj)]
+    else:
+        by_rank = []
+        seen = layer = 1 << start
+        while layer:  # BFS layers, each in id order
+            grown = 0
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                u = b.bit_length() - 1
+                by_rank.append(u)
+                grown |= adj[u]
+            layer = grown & ~seen
+            seen |= layer
+        by_rank.extend(iter_bits(((1 << n) - 1) & ~seen))
+        key = [0] * n  # start keeps key 0 (rank 0), below every other key
+        for r in range(1, n):
+            u = by_rank[r]
+            key[u] = (base + adj[u].bit_count()) * n + r
+    drop = n * (n + 2)  # one more ordered neighbor, one fewer unordered
     order = []
-    placed = 0
-    left = (1 << len(adj)) - 1
+    left = (1 << n) - 1
+    pool = front = 0
+    score = top = 0
+    if cap is None:
+        cap = n ** 3 + 1  # above any score
     while left:
-        v = min(iter_bits(left), key=lambda u: (
-            -(adj[u] & placed).bit_count(), (adj[u] & left).bit_count(), u))
+        m = pool or left
+        k = key[(m & -m).bit_length() - 1]
+        m &= m - 1
+        while m:
+            b = m & -m
+            m ^= b
+            c = key[b.bit_length() - 1]
+            if c < k:
+                k = c
+        v = by_rank[k % n]
         order.append(v)
-        placed |= 1 << v
         left ^= 1 << v
-    return order
+        m = adj[v] & left
+        pool = (pool | m) & left
+        if m:
+            front |= 1 << v
+        while m:
+            b = m & -m
+            m ^= b
+            key[b.bit_length() - 1] -= drop
+        m = adj[v] & front
+        while m:  # ordered neighbors that may have lost their last unordered one
+            b = m & -m
+            m ^= b
+            if adj[b.bit_length() - 1] & left == 0:
+                front ^= b
+        width = front.bit_count()
+        score += width * width
+        if score >= cap:
+            return None
+        if width > top:
+            top = width
+    return order, score, top
 
 
-def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None) -> tuple[int, int]:
+def _seal_order(adj: list[int]) -> list[int]:
+    """The plain seal order: ``_seal_scan`` with id tie-breaks."""
+    return _seal_scan(adj)[0]
+
+
+def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
+    """The vertex order of the optimum and extremal-count searches.
+
+    The search cost grows with the frontier width the order leaves, and the
+    plain seal order's id tie-break sweeps a row-major grid along its rows.
+    So the candidates are the plain seal order and the seal orders started
+    at each of the first three minimum-degree vertices; a candidate replaces
+    the plain order only with a strictly lower score, the sum of squared
+    frontier widths, so a frontier that stays wide counts for more than a
+    brief peak.  Returns (order, score, width) of the winner.
+    """
+    best = _seal_scan(adj)
+    if adj:
+        low = min(a.bit_count() for a in adj)
+        starts = [v for v, a in enumerate(adj) if a.bit_count() == low][:3]
+        for s in starts:
+            best = _seal_scan(adj, s, best[1]) or best
+    return best
+
+
+def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None,
+              order: list[int] | None = None) -> tuple[int, int]:
     """Minimum weight over valid labelings; returns (gamma, nodes explored).
 
-    Vertices are explored in ``_seal_order`` and labels in the order 0, 2, 1.
+    Vertices are explored in ``order`` (default ``_search_order``) and labels
+    in the order 0, 2, 1.
     """
     n = len(adj)
     if n == 0:
         return 0, 1
-    order = _seal_order(adj)
+    if order is None:
+        order = _search_order(adj)[0]
     use_pairs = attack_n >= 2
     best = n  # the all-1 labeling is always valid
     nodes = 0
@@ -429,13 +508,15 @@ def _iter_exact_weight(adj, attack_n, weight_target, max_twos=None):
     yield from rec(0, 0, 0, full, 0, bound.state(full))
 
 
-def _extremal_twos(adj, attack_n, gamma, maximize: bool) -> int:
-    """Extremal |V2| over valid labelings of weight exactly gamma."""
+def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None) -> int:
+    """Extremal |V2| over valid labelings of weight exactly gamma, searched
+    in ``order`` (default ``_search_order``)."""
     n = len(adj)
     if n == 0:
         return 0
     use_pairs = attack_n >= 2
-    order = _seal_order(adj)
+    if order is None:
+        order = _search_order(adj)[0]
     labels = [0] * n
     if maximize:
         best = -1
@@ -483,32 +564,31 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
 
     Subtrees are cut with the residual discharging bound of ``_Discharge``
     (the paper's gamma >= 4n/(Delta + 3), applied to the undecided part).
-    The optimum pass labels vertices in ``_seal_order``.  The cost grows with
-    how far the bound falls below gamma and with the width of the frontier
-    that order leaves, not with the order alone.  Measured on one core of a
-    2-vCPU Xeon with Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5,
-    the square ball of radius 3 (25 vertices) and the triangular ball of
-    radius 2 (19 vertices) take 0.03-0.1 s each; grid 6x6 and the
-    triangular ball of radius 3 (37 vertices) take about 2 s each.  Grid
-    4x8 still takes about 20 s (4 M nodes), because the sweep runs along its
-    rows of 8.  The witness is the lexicographically smallest minimum label
-    vector, found by a second budgeted pass in id order.
+    The optimum pass labels vertices in ``_search_order``.  The cost grows
+    with how far the bound falls below gamma and with the width of the
+    frontier that order leaves (``stats.frontier_width``), not with the
+    order of the graph.  The witness is the lexicographically smallest
+    minimum label vector, found by a second budgeted pass in id order.
+    Measured on one core of a 2-vCPU Xeon with Python 3.11: C24 takes
+    0.003 s; grid 4x5, grid 5x5, grid 4x6, the square ball of radius 3
+    (25 vertices) and the triangular ball of radius 2 (19 vertices) take
+    0.01-0.1 s each; grid 6x6, grid 5x7 and the triangular ball of radius
+    3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8 takes 0.97 s: 0.25 s
+    for the optimum pass (48 k nodes; 4 M with the plain seal order, which
+    sweeps its rows of 8) and the rest for the id-order witness pass, which
+    still walks those rows.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
     adj = _adj_list(graph)
-    gamma, nodes = _bb_gamma(adj, opts.attack_n, opts.max_twos)
+    order, _, width = _search_order(adj)
+    gamma, nodes = _bb_gamma(adj, opts.attack_n, opts.max_twos, order)
     labels = _lex_first_labeling(adj, opts.attack_n, gamma, opts.max_twos)
     witness = Labeling(graph, labels)
-    all_minimum = None
-    feasible = None
+    all_minimum = feasible = None
     if opts.enumerate_all:
-        _check_enum_limit(graph.order)
-        all_minimum = tuple(
-            Labeling(graph, labs)
-            for labs in _iter_exact_weight(adj, opts.attack_n, gamma, opts.max_twos))
-        feasible = tuple(sorted({sum(1 for x in lab.labels if x == 2) for lab in all_minimum}))
-    stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce")
+        all_minimum, feasible = _all_minimum(graph, adj, opts.attack_n, gamma, opts.max_twos)
+    stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
     return SolveResult(gamma, witness, graph.order - gamma, stats, all_minimum, feasible)
 
 
@@ -516,6 +596,16 @@ def _check_enum_limit(order: int):
     limit = limits.enumeration_max_order()
     if order > limit:
         raise TooLargeError(order, limit)
+
+
+def _all_minimum(graph, adj, attack_n, gamma, max_twos=None):
+    """Every valid labeling of weight gamma in lex order, with the sorted
+    2-counts they take: the ``enumerate_all`` fields of a result."""
+    _check_enum_limit(graph.order)
+    all_minimum = tuple(Labeling(graph, labs)
+                        for labs in _iter_exact_weight(adj, attack_n, gamma, max_twos))
+    feasible = tuple(sorted({lab.labels.count(2) for lab in all_minimum}))
+    return all_minimum, feasible
 
 
 def enumerate_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[Labeling]:
@@ -833,19 +923,15 @@ def two_extremal_minimum(graph: Graph, mode: str,
         raise TooLargeError(graph.order, limit)
     start = time.perf_counter()
     adj = _adj_list(graph)
-    gamma, nodes = _bb_gamma(adj, 2, None)
-    twos = _extremal_twos(adj, 2, gamma, maximize=(mode == "maximize_twos"))
+    order, _, width = _search_order(adj)
+    gamma, nodes = _bb_gamma(adj, 2, None, order)
+    twos = _extremal_twos(adj, 2, gamma, maximize=(mode == "maximize_twos"), order=order)
     labels = _lex_first_labeling(adj, 2, gamma, twos_target=twos)
     witness = Labeling(graph, labels)
-    all_minimum = None
-    feasible = None
+    all_minimum = feasible = None
     if enumerate_all:
-        _check_enum_limit(graph.order)
-        all_minimum = tuple(Labeling(graph, labs)
-                            for labs in _iter_exact_weight(adj, 2, gamma))
-        feasible = tuple(sorted({sum(1 for x in lab.labels if x == 2)
-                                 for lab in all_minimum}))
-    stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce")
+        all_minimum, feasible = _all_minimum(graph, adj, 2, gamma)
+    stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
     return SolveResult(gamma, witness, graph.order - gamma, stats, all_minimum, feasible)
 
 
@@ -868,14 +954,8 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
             raise ValueError("method 'eccd' cannot enforce max_twos")
         result = gamma_via_eccd(graph)
         if opts.enumerate_all:
-            _check_enum_limit(graph.order)
-            adj = _adj_list(graph)
-            all_minimum = tuple(Labeling(graph, labs)
-                                for labs in _iter_exact_weight(adj, 2, result.gamma))
-            feasible = tuple(sorted({sum(1 for x in lab.labels if x == 2)
-                                     for lab in all_minimum}))
-            return SolveResult(result.gamma, result.labeling, result.optimal_number,
-                               result.stats, all_minimum, feasible)
+            all_minimum, feasible = _all_minimum(graph, _adj_list(graph), 2, result.gamma)
+            result = replace(result, all_minimum=all_minimum, feasible_two_counts=feasible)
         return result
     return gamma_bruteforce(graph, SolveOptions(
         attack_n=opts.attack_n, max_twos=opts.max_twos, method="bruteforce",

@@ -54,6 +54,14 @@ class TestSolve:
         assert code == 0
         assert doc["gamma"] == 8 and doc["optimal_number"] == 2
         assert doc["stats"]["nodes"] > 0
+        assert doc["stats"]["method"] == "eccd"
+        assert doc["stats"]["frontier_width"] is None
+
+    def test_json_frontier_width(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
+                           "--method", "bruteforce", "--json")
+        assert code == 0
+        assert json.loads(out)["stats"]["frontier_width"] == 1
 
     def test_max_twos(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "fig2_k6.txt"),

@@ -8,6 +8,8 @@ from helpers import allepn_labelings, fig1_star_labeled
 from tworoman import (FamilySpec, Labeling, build_graph, epn_set, generate,
                       partition, public_set, validate, validate_by_enumeration,
                       weight)
+from tworoman.labeling import first_violation
+from tworoman.solver import _labels_valid
 
 
 def k6_fig_labeling():
@@ -130,6 +132,14 @@ class TestValidate:
         shared = (g.adjacency_mask(u) | g.adjacency_mask(v)) & two_mask
         assert shared.bit_count() < 2
 
+    def test_pair_witness_is_lex_first_not_first_found(self):
+        # 0s 1 and 4 share the 2 at vertex 0, 0s 2 and 3 the 2 at vertex 5;
+        # the scan meets the pair (2, 3) first, but (1, 4) comes first
+        g = build_graph(6, [(0, 1), (0, 4), (5, 2), (5, 3)])
+        lab = Labeling(g, (2, 0, 0, 0, 0, 2))
+        assert validate(lab, 2).witness == (1, 4)
+        assert validate_by_enumeration(lab, 2).witness == (1, 4)
+
     def test_shared_unique_two_invalid(self):
         # two private neighbors hanging off the same 2 break the pair rule
         g = build_graph(3, [(0, 1), (0, 2)])
@@ -172,6 +182,16 @@ def graph_and_labeling(draw, max_order=8):
 @settings(max_examples=150, deadline=None)
 def test_fast_path_matches_enumeration_random(lab):
     assert validate(lab, 2) == validate_by_enumeration(lab, 2)
+
+
+@given(graph_and_labeling(max_order=9), st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_mask_validator_matches_enumeration_at_any_attack(lab, attack):
+    report = validate(lab, attack)
+    assert report == validate_by_enumeration(lab, attack)
+    adj = [lab.graph.adjacency_mask(v) for v in range(lab.graph.order)]
+    assert first_violation(adj, lab.labels, attack) == report.witness
+    assert _labels_valid(adj, list(lab.labels), attack) == report.valid
 
 
 @given(graph_and_labeling(max_order=12), st.integers(min_value=1, max_value=4))

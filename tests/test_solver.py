@@ -18,10 +18,11 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
 from tworoman import limits, solver as solver_module, tilings
+from tworoman.graph import iter_bits
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
                              _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
                              _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound,
-                             _seal_order)
+                             _seal_order, _seal_scan, _search_order)
 
 
 def fam(kind, *params):
@@ -103,7 +104,7 @@ class TestDischargeBound:
 
     @staticmethod
     def _prefix_orders(adj):
-        return _seal_order(adj), list(range(len(adj)))
+        return _seal_order(adj), _search_order(adj)[0], list(range(len(adj)))
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
         rng = random.Random(2023)
@@ -229,11 +230,121 @@ class TestSealOrder:
         (fam("grid", 4, 4), 11, 1_000),
         (fam("grid", 5, 5), 17, 40_000),
         (sierpinski_graph(3), 24, 2_000),
-    ], ids=["grid4x4", "grid5x5", "sierpinski42"])
+        (fam("grid", 3, 6), 13, 2_000),
+        (fam("grid", 4, 6), 16, 2_000),
+    ], ids=["grid4x4", "grid5x5", "sierpinski42", "grid3x6", "grid4x6"])
     def test_node_pins(self, g, gamma, limit):
         result = gamma_bruteforce(g)
         assert result.gamma == gamma
         assert result.stats.nodes <= limit
+
+    def test_grid4x8_node_pin(self):
+        # optimum pass only: the witness pass walks this grid in id order
+        gamma, nodes = _bb_gamma(_adj_list(fam("grid", 4, 8)), 2, None)
+        assert gamma == 22
+        assert nodes <= 100_000
+
+    @staticmethod
+    def _profile(adj, order):
+        """(sum of squared frontier widths, largest width) over the prefixes."""
+        placed = score = top = 0
+        for v in order:
+            placed |= 1 << v
+            width = sum(1 for u in iter_bits(placed) if adj[u] & ~placed)
+            score += width * width
+            top = max(top, width)
+        return score, top
+
+    @pytest.mark.parametrize("g", [
+        build_graph(0, []), build_graph(1, []), build_graph(5, []),
+        build_graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
+        fam("star", 4), fam("grid", 3, 4), fam("complete", 5), fam("grid", 4, 8),
+        fam("cycle", 9), sierpinski_graph(2),
+    ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete",
+            "grid4x8", "cycle", "sierpinski"])
+    def test_started_scan_breaks_ties_by_distance(self, g):
+        adj = _adj_list(g)
+        for start in range(min(g.order, 3)):
+            dist = {start: 0}
+            queue = [start]
+            for u in queue:
+                for w in iter_bits(adj[u]):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            order, score, width = _seal_scan(adj, start)
+            assert order[0] == start
+            assert sorted(order) == list(range(g.order))
+            assert (score, width) == self._profile(adj, order)
+            placed = 1 << start
+            for v in order[1:]:
+                left = (1 << g.order) - 1 & ~placed
+
+                def key(u):
+                    return (-(adj[u] & placed).bit_count(), (adj[u] & left).bit_count(),
+                            dist.get(u, g.order), u)
+
+                assert all(key(v) <= key(u) for u in iter_bits(left))
+                placed |= 1 << v
+
+    def test_search_order_is_a_narrower_permutation(self):
+        rng = random.Random(606)
+        cases = [fam("grid", r, c) for r in range(1, 7) for c in range(1, 9)]
+        cases += [_random_graph(rng, rng.randint(0, 16), rng.choice((0.1, 0.2, 0.4)))
+                  for _ in range(60)]
+        cases += [fam("cycle", 15), sierpinski_graph(3), build_graph(0, [])]
+        for g in cases:
+            adj = _adj_list(g)
+            order, score, width = _search_order(adj)
+            assert sorted(order) == list(range(g.order))
+            assert (score, width) == self._profile(adj, order)
+            plain = _seal_scan(adj)
+            assert plain[0] == _seal_order(adj)
+            assert score <= plain[1]
+            if order != plain[0]:
+                assert score < plain[1]
+
+    @pytest.mark.parametrize("rows,cols", [(3, 6), (4, 6)])
+    def test_transposed_grids_cost_alike(self, rows, cols):
+        wide = gamma_bruteforce(fam("grid", rows, cols))
+        tall = gamma_bruteforce(fam("grid", cols, rows))
+        assert wide.gamma == tall.gamma
+        low, high = sorted((wide.stats.nodes, tall.stats.nodes))
+        assert high <= 2 * low
+        assert wide.stats.frontier_width == tall.stats.frontier_width == rows
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_extremal_twos_searches_in_the_optimum_order(self, monkeypatch, maximize):
+        g = fam("grid", 3, 4)
+        adj = _adj_list(g)
+        gamma = _bb_gamma(adj, 2, None)[0]
+        seed = solver_module._lex_first_labeling(adj, 2, gamma)
+        order = list(range(g.order))
+        random.Random(15).shuffle(order)
+        seen = []
+        step = _Discharge.step
+
+        def spy(self, state, v, und2, two_mask):
+            seen.append((g.order - 1 - und2.bit_count(), v))
+            return step(self, state, v, und2, two_mask)
+
+        monkeypatch.setattr(solver_module, "_search_order", lambda a: (order, 0, 0))
+        # the minimize pass seeds from the id-order lex pass; keep its answer only
+        monkeypatch.setattr(solver_module, "_lex_first_labeling", lambda *args: seed)
+        monkeypatch.setattr(_Discharge, "step", spy)
+        _bb_gamma(adj, 2, None)
+        assert seen and all(order[depth] == v for depth, v in seen)
+        seen.clear()
+        _extremal_twos(adj, 2, gamma, maximize=maximize)
+        assert seen and all(order[depth] == v for depth, v in seen)
+
+    def test_frontier_width_stat(self):
+        assert _search_order(_adj_list(fam("grid", 4, 8)))[2] == 4
+        assert gamma_bruteforce(fam("grid", 5, 3)).stats.frontier_width == 3
+        assert gamma_bruteforce(build_graph(0, [])).stats.frontier_width == 0
+        assert two_extremal_minimum(fam("grid", 3, 5), "maximize_twos").stats.frontier_width == 3
+        assert gamma_via_eccd(fam("grid", 3, 5)).stats.frontier_width is None
+        assert solve(fam("grid", 3, 5)).stats.frontier_width is None
 
 
 class TestLimits:
