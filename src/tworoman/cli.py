@@ -107,24 +107,25 @@ def _cmd_solve(args) -> int:
 
 def _cmd_optimal(args) -> int:
     parsed = _load(args.file)
-    eccd = solver.max_eccd(parsed.graph)
-    if len(eccd) == 0:
+    graph = parsed.graph
+    verdict, cert = solver.is_optimal(graph)
+    if not verdict:
         if args.json:
             print(json.dumps({"optimal": False, "optimal_number": 0,
                               "certificate": None}, sort_keys=True))
         else:
             print("sub-optimal (optimal number 0)")
         return 0
-    labeling = solver.eccd_to_labeling(parsed.graph, eccd)
-    cert = _ext_ids(parsed.graph, eccd.paths[0])
+    number = graph.order - cert.labeling.weight
+    path = _ext_ids(graph, cert.path)
     if args.json:
-        print(json.dumps({"optimal": True, "optimal_number": len(eccd),
-                          "certificate": cert}, sort_keys=True))
+        print(json.dumps({"optimal": True, "optimal_number": number,
+                          "certificate": path}, sort_keys=True))
     else:
-        print(f"optimal (optimal number {len(eccd)})")
-        print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in cert)}")
+        print(f"optimal (optimal number {number})")
+        print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in path)}")
     if args.dot:
-        _emit(graphio.to_dot(parsed.graph, labeling), args.dot)
+        _emit(graphio.to_dot(graph, cert.labeling), args.dot)
     return 0
 
 

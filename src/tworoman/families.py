@@ -8,7 +8,7 @@ from fractions import Fraction
 from . import limits
 from .errors import BadSpecError, TooLargeError
 from .graph import Graph, build_graph
-from .solver import _gamma_auto
+from .solver import solve
 
 KINDS = ("path", "cycle", "complete", "star", "complete_bipartite", "grid")
 
@@ -101,7 +101,7 @@ def density(graph: Graph) -> Fraction:
     limit = max(limits.bruteforce_max_order(), limits.eccd_max_order())
     if graph.order > limit:
         raise TooLargeError(graph.order, limit)
-    return Fraction(_gamma_auto(graph), graph.order)
+    return Fraction(solve(graph).gamma, graph.order)
 
 
 def density_lower_bound(max_degree: int) -> Fraction:

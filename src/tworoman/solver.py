@@ -31,7 +31,8 @@ METHODS = ("bruteforce", "eccd", "auto")
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for ``solve``; defaults give the plain 2-attack number."""
+    """Knobs for ``solve`` and ``gamma_bruteforce``; defaults give the plain
+    2-attack number."""
 
     attack_n: int = 2
     max_twos: int | None = None
@@ -50,6 +51,11 @@ class SolveOptions:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method == "eccd" and self.attack_n != 2:
             raise ValueError("method 'eccd' requires attack_n == 2")
+        if self.two_mode != "any":
+            if self.attack_n != 2:
+                raise ValueError("two_mode requires attack_n == 2")
+            if self.max_twos is not None:
+                raise ValueError("two_mode cannot be combined with max_twos")
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,6 @@ class OptimalityCertificate:
 
 def _adj_list(graph: Graph) -> list[int]:
     return [graph.adjacency_mask(v) for v in range(graph.order)]
-
-
-def _labels_valid(adj: list[int], labels, attack_n: int) -> bool:
-    """Full validity of a complete label vector."""
-    return first_violation(adj, labels, attack_n) is None
 
 
 def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:
@@ -369,225 +370,180 @@ def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
     return best
 
 
+def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
+            bound: _Discharge | None, wmax: int, leaf, thi: int | None = None,
+            tlo: int = 0) -> int:
+    """The one branch-and-bound core: a DFS over label vectors.
+
+    Labels the vertices in ``order``, trying the labels ``labs`` at each.  A
+    child is cut when its weight plus the ``_Discharge`` bound of the rest
+    exceeds ``wmax``, when its 2-count leaves the window [``tlo``, ``thi``]
+    (the rest can add at most half the weight left under ``wmax`` in 2s;
+    ``thi`` None is no cap), or on ``_seal_conflict``.  At each complete
+    valid labeling it calls ``leaf(labels, wgt, twos)`` with the live label
+    vector, which returns the new limits (wmax, tlo, thi), or None to stop.
+    Returns the number of nodes explored, leaves included.
+    """
+    n = len(adj)
+    use_pairs = attack_n >= 2
+    bound = bound or _Discharge(adj, attack_n)
+    labels = [0] * n
+    nodes = 0
+    running = True
+    if thi is None:
+        thi = n
+
+    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
+        nonlocal nodes, running, wmax, tlo, thi
+        nodes += 1
+        if idx == n:
+            if first_violation(adj, labels, attack_n) is None:
+                new = leaf(labels, wgt, twos)
+                if new is None:
+                    running = False
+                else:
+                    wmax, tlo, thi = new
+                    if thi is None:
+                        thi = n
+            return
+        v = order[idx]
+        vbit = 1 << v
+        und2 = und_mask & ~vbit
+        low, high = bound.step(state, v, und2, two_mask)
+        for lab in labs:
+            if lab == 2:
+                st, t2 = high, twos + 1
+            else:
+                st, t2 = low, twos
+            w2 = wgt + lab
+            if w2 + st[2] > wmax or t2 > thi or tlo and t2 + (wmax - w2) // 2 < tlo:
+                continue
+            z2 = zero_mask | vbit if lab == 0 else zero_mask
+            m2 = two_mask | vbit if lab == 2 else two_mask
+            if _seal_conflict(adj, v, lab, z2, m2, und2, use_pairs):
+                continue
+            labels[v] = lab
+            rec(idx + 1, z2, m2, und2, w2, t2, st)
+            if not running:
+                return
+
+    full = (1 << n) - 1
+    rec(0, 0, 0, full, 0, 0, bound.state(full))
+    return nodes
+
+
 def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None,
-              order: list[int] | None = None) -> tuple[int, int]:
+              order: list[int] | None = None,
+              bound: _Discharge | None = None) -> tuple[int, int]:
     """Minimum weight over valid labelings; returns (gamma, nodes explored).
 
     Vertices are explored in ``order`` (default ``_search_order``) and labels
-    in the order 0, 2, 1.
+    in the order 0, 2, 1.  The incumbent starts at the all-1 labeling, which
+    is always valid, and each leaf found lowers the weight limit below it.
     """
-    n = len(adj)
-    if n == 0:
-        return 0, 1
+    best = len(adj)
+
+    def leaf(labels, wgt, twos):
+        nonlocal best
+        best = wgt
+        return wgt - 1, 0, max_twos
+
     if order is None:
         order = _search_order(adj)[0]
-    use_pairs = attack_n >= 2
-    best = n  # the all-1 labeling is always valid
-    nodes = 0
-    labels = [1] * n
-    bound = _Discharge(adj, attack_n)
-
-    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
-        nonlocal best, nodes
-        nodes += 1
-        if idx == n:
-            if _labels_valid(adj, labels, attack_n):
-                best = wgt
-            return
-        v = order[idx]
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
-        for lab in (0, 2, 1):
-            if lab == 2 and max_twos is not None and twos == max_twos:
-                continue
-            st = high if lab == 2 else low
-            if wgt + lab + st[2] >= best:
-                continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            t2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
-                continue
-            labels[v] = lab
-            rec(idx + 1, z2, t2, und2, wgt + lab, twos + (lab == 2), st)
-        labels[v] = 1
-
-    full = (1 << n) - 1
-    rec(0, 0, 0, full, 0, 0, bound.state(full))
+    nodes = _search(adj, attack_n, order, (0, 2, 1), bound, best - 1, leaf, max_twos)
     return best, nodes
 
 
-def _lex_first_labeling(adj, attack_n, weight_target, max_twos=None,
-                        twos_target=None) -> tuple[int, ...] | None:
-    """First labeling in label-vector lexicographic order with the exact
-    target weight (and exact 2-count when requested)."""
-    n = len(adj)
-    if n == 0:
-        return () if weight_target == 0 else None
-    use_pairs = attack_n >= 2
-    labels = [0] * n
-    out = []
-    bound = _Discharge(adj, attack_n)
-
-    def rec(v, zero_mask, two_mask, und_mask, wgt, twos, state):
-        if out:
-            return
-        if twos_target is not None:
-            if twos > twos_target:
-                return
-            if twos + (weight_target - wgt) // 2 < twos_target:
-                return
-        if v == n:
-            if wgt == weight_target and _labels_valid(adj, labels, attack_n):
-                out.append(tuple(labels))
-            return
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
-        for lab in (0, 1, 2):
-            if wgt + lab > weight_target:
-                break
-            if lab == 2 and max_twos is not None and twos == max_twos:
-                continue
-            st = high if lab == 2 else low
-            if wgt + lab + st[2] > weight_target:
-                continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            t2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
-                continue
-            labels[v] = lab
-            rec(v + 1, z2, t2, und2, wgt + lab, twos + (lab == 2), st)
-            labels[v] = 0
-            if out:
-                return
-
-    full = (1 << n) - 1
-    rec(0, 0, 0, full, 0, 0, bound.state(full))
-    return out[0] if out else None
+def _lex_first_labeling(adj, attack_n, gamma, thi=None, tlo=0,
+                        bound=None) -> tuple[int, ...] | None:
+    """First labeling in label-vector lexicographic order among the valid
+    labelings of weight ``gamma`` with a 2-count in [``tlo``, ``thi``]; None
+    when there is none.  ``gamma`` is the minimum weight, so no valid
+    labeling in the window weighs less.  The search runs in id order with
+    labels 0, 1, 2 and stops at its first leaf."""
+    found = []
+    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma,
+            lambda labels, wgt, twos: found.append(tuple(labels)), thi, tlo)
+    return found[0] if found else None
 
 
-def _iter_exact_weight(adj, attack_n, weight_target, max_twos=None):
-    """Yield every valid labeling of the exact target weight, lex order."""
-    n = len(adj)
-    if n == 0:
-        if weight_target == 0:
-            yield ()
-        return
-    use_pairs = attack_n >= 2
-    labels = [0] * n
-    bound = _Discharge(adj, attack_n)
+def _iter_exact_weight(adj, attack_n, gamma, max_twos=None,
+                       bound=None) -> list[tuple[int, ...]]:
+    """Every valid labeling of weight ``gamma``, the minimum weight under the
+    2-count cap ``max_twos``, in lex order: the search of
+    ``_lex_first_labeling`` run to the end."""
+    found = []
 
-    def rec(v, zero_mask, two_mask, und_mask, wgt, state):
-        if v == n:
-            if wgt == weight_target and _labels_valid(adj, labels, attack_n):
-                yield tuple(labels)
-            return
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
-        for lab in (0, 1, 2):
-            if wgt + lab > weight_target:
-                break
-            if lab == 2 and max_twos is not None:
-                twos = two_mask.bit_count()
-                if twos == max_twos:
-                    continue
-            st = high if lab == 2 else low
-            if wgt + lab + st[2] > weight_target:
-                continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            t2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
-                continue
-            labels[v] = lab
-            yield from rec(v + 1, z2, t2, und2, wgt + lab, st)
-            labels[v] = 0
+    def leaf(labels, wgt, twos):
+        found.append(tuple(labels))
+        return gamma, 0, max_twos
 
-    full = (1 << n) - 1
-    yield from rec(0, 0, 0, full, 0, bound.state(full))
+    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma, leaf, max_twos)
+    return found
 
 
-def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None) -> int:
-    """Extremal |V2| over valid labelings of weight exactly gamma, searched
-    in ``order`` (default ``_search_order``)."""
-    n = len(adj)
-    if n == 0:
-        return 0
-    use_pairs = attack_n >= 2
+def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None) -> int:
+    """Extremal |V2| over valid labelings of weight ``gamma``, the minimum
+    weight, searched in ``order`` (default ``_search_order``).
+
+    Maximizing tries labels 2, 0, 1 and raises the 2-count floor past each
+    count found; minimizing starts below the count of the lex-first witness
+    and lowers the 2-count cap below each count found.
+    """
     if order is None:
         order = _search_order(adj)[0]
-    labels = [0] * n
     if maximize:
         best = -1
     else:
-        seed = _lex_first_labeling(adj, attack_n, gamma)
-        best = sum(1 for lab in seed if lab == 2)
-        if best == 0:
-            return 0
-    bound = _Discharge(adj, attack_n)
+        best = _lex_first_labeling(adj, attack_n, gamma, bound=bound).count(2)
 
-    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
+    def leaf(labels, wgt, twos):
         nonlocal best
-        if maximize:
-            if twos + (gamma - wgt) // 2 <= best:
-                return
-        elif twos >= best:
-            return
-        if idx == n:
-            if wgt == gamma and _labels_valid(adj, labels, attack_n):
-                best = twos
-            return
-        v = order[idx]
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
-        for lab in ((2, 0, 1) if maximize else (0, 1, 2)):
-            st = high if lab == 2 else low
-            if wgt + lab + st[2] > gamma:
-                continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            t2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
-                continue
-            labels[v] = lab
-            rec(idx + 1, z2, t2, und2, wgt + lab, twos + (lab == 2), st)
-        labels[v] = 0
+        best = twos
+        return (gamma, twos + 1, None) if maximize else (gamma, 0, twos - 1)
 
-    full = (1 << n) - 1
-    rec(0, 0, 0, full, 0, 0, bound.state(full))
+    labs = (2, 0, 1) if maximize else (0, 1, 2)
+    _search(adj, attack_n, order, labs, bound, gamma, leaf,
+            None if maximize else best - 1, best + 1 if maximize else 0)
     return best
 
 
 def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact minimum weight by branch and bound.
 
-    Subtrees are cut with the residual discharging bound of ``_Discharge``
-    (the paper's gamma >= 4n/(Delta + 3), applied to the undecided part).
-    The optimum pass labels vertices in ``_search_order``.  The cost grows
-    with how far the bound falls below gamma and with the width of the
-    frontier that order leaves (``stats.frontier_width``), not with the
-    order of the graph.  The witness is the lexicographically smallest
-    minimum label vector, found by a second budgeted pass in id order.
-    Measured on one core of a 2-vCPU Xeon with Python 3.11: C24 takes
-    0.003 s; grid 4x5, grid 5x5, grid 4x6, the square ball of radius 3
-    (25 vertices) and the triangular ball of radius 2 (19 vertices) take
-    0.01-0.1 s each; grid 6x6, grid 5x7 and the triangular ball of radius
-    3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8 takes 0.97 s: 0.25 s
-    for the optimum pass (48 k nodes; 4 M with the plain seal order, which
-    sweeps its rows of 8) and the rest for the id-order witness pass, which
-    still walks those rows.
+    Every pass is a driver over one DFS core, ``_search``, and all passes of
+    a solve share one ``_Discharge``: the residual discharging bound (the
+    paper's gamma >= 4n/(Delta + 3), applied to the undecided part) that
+    cuts subtrees.  The optimum pass labels vertices in ``_search_order``.
+    The cost grows with how far the bound falls below gamma and with the
+    width of the frontier that order leaves (``stats.frontier_width``), not
+    with the order of the graph.  The witness is the lexicographically
+    smallest minimum label vector, found by a second budgeted pass in id
+    order; with ``opts.two_mode`` set, an extremal-count pass in the optimum
+    order first fixes its 2-count.  Measured on one core of a 2-vCPU Xeon
+    with Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5, grid 4x6, the
+    square ball of radius 3 (25 vertices) and the triangular ball of radius
+    2 (19 vertices) take 0.01-0.1 s each; grid 6x6, grid 5x7 and the
+    triangular ball of radius 3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8
+    takes 0.97 s: 0.25 s for the optimum pass (48 k nodes; 4 M with the
+    plain seal order, which sweeps its rows of 8) and the rest for the
+    id-order witness pass, which still walks those rows.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
     adj = _adj_list(graph)
+    attack, cap = opts.attack_n, opts.max_twos
+    bound = _Discharge(adj, attack)
     order, _, width = _search_order(adj)
-    gamma, nodes = _bb_gamma(adj, opts.attack_n, opts.max_twos, order)
-    labels = _lex_first_labeling(adj, opts.attack_n, gamma, opts.max_twos)
-    witness = Labeling(graph, labels)
+    gamma, nodes = _bb_gamma(adj, attack, cap, order, bound)
+    tlo, thi = 0, cap
+    if opts.two_mode != "any":
+        tlo = thi = _extremal_twos(adj, attack, gamma, opts.two_mode == "maximize_twos",
+                                   order, bound)
+    witness = Labeling(graph, _lex_first_labeling(adj, attack, gamma, thi, tlo, bound))
     all_minimum = feasible = None
     if opts.enumerate_all:
-        all_minimum, feasible = _all_minimum(graph, adj, opts.attack_n, gamma, opts.max_twos)
+        all_minimum, feasible = _all_minimum(graph, adj, attack, gamma, cap, bound)
     stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
     return SolveResult(gamma, witness, graph.order - gamma, stats, all_minimum, feasible)
 
@@ -598,12 +554,12 @@ def _check_enum_limit(order: int):
         raise TooLargeError(order, limit)
 
 
-def _all_minimum(graph, adj, attack_n, gamma, max_twos=None):
+def _all_minimum(graph, adj, attack_n, gamma, max_twos=None, bound=None):
     """Every valid labeling of weight gamma in lex order, with the sorted
     2-counts they take: the ``enumerate_all`` fields of a result."""
     _check_enum_limit(graph.order)
     all_minimum = tuple(Labeling(graph, labs)
-                        for labs in _iter_exact_weight(adj, attack_n, gamma, max_twos))
+                        for labs in _iter_exact_weight(adj, attack_n, gamma, max_twos, bound))
     feasible = tuple(sorted({lab.labels.count(2) for lab in all_minimum}))
     return all_minimum, feasible
 
@@ -612,8 +568,9 @@ def enumerate_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[Labelin
     """All minimum-weight valid labelings in lexicographic order."""
     _check_enum_limit(graph.order)
     adj = _adj_list(graph)
-    gamma, _ = _bb_gamma(adj, attack_n, None)
-    return [Labeling(graph, labs) for labs in _iter_exact_weight(adj, attack_n, gamma)]
+    bound = _Discharge(adj, attack_n)
+    gamma, _ = _bb_gamma(adj, attack_n, None, bound=bound)
+    return list(_all_minimum(graph, adj, attack_n, gamma, None, bound)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -921,28 +878,14 @@ def two_extremal_minimum(graph: Graph, mode: str,
     limit = limits.bruteforce_max_order()
     if graph.order > limit:
         raise TooLargeError(graph.order, limit)
-    start = time.perf_counter()
-    adj = _adj_list(graph)
-    order, _, width = _search_order(adj)
-    gamma, nodes = _bb_gamma(adj, 2, None, order)
-    twos = _extremal_twos(adj, 2, gamma, maximize=(mode == "maximize_twos"), order=order)
-    labels = _lex_first_labeling(adj, 2, gamma, twos_target=twos)
-    witness = Labeling(graph, labels)
-    all_minimum = feasible = None
-    if enumerate_all:
-        all_minimum, feasible = _all_minimum(graph, adj, 2, gamma)
-    stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
-    return SolveResult(gamma, witness, graph.order - gamma, stats, all_minimum, feasible)
+    return gamma_bruteforce(graph, SolveOptions(two_mode=mode, method="bruteforce",
+                                                enumerate_all=enumerate_all))
 
 
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Front door: dispatch on method and two_mode."""
     opts = opts or SolveOptions()
     if opts.two_mode != "any":
-        if opts.attack_n != 2:
-            raise ValueError("two_mode requires attack_n == 2")
-        if opts.max_twos is not None:
-            raise ValueError("two_mode cannot be combined with max_twos")
         return two_extremal_minimum(graph, opts.two_mode, opts.enumerate_all)
     method = opts.method
     if method == "auto":
@@ -957,15 +900,7 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
             all_minimum, feasible = _all_minimum(graph, _adj_list(graph), 2, result.gamma)
             result = replace(result, all_minimum=all_minimum, feasible_two_counts=feasible)
         return result
-    return gamma_bruteforce(graph, SolveOptions(
-        attack_n=opts.attack_n, max_twos=opts.max_twos, method="bruteforce",
-        enumerate_all=opts.enumerate_all))
-
-
-def _gamma_auto(graph: Graph) -> int:
-    if graph.order <= limits.eccd_max_order():
-        return gamma_via_eccd(graph).gamma
-    return gamma_bruteforce(graph).gamma
+    return gamma_bruteforce(graph, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +913,7 @@ def _require_minimum(graph: Graph, labeling: Labeling):
         raise ValueError("labeling does not belong to this graph")
     if not validate(labeling, 2).valid:
         raise NotMinimumError("labeling is not a valid 2-attack labeling")
-    gamma = _gamma_auto(graph)
+    gamma = solve(graph).gamma
     if labeling.weight != gamma:
         raise NotMinimumError(
             f"labeling weight {labeling.weight} differs from minimum {gamma}")

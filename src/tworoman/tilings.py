@@ -25,7 +25,7 @@ from . import limits
 from .errors import BadSpecError, IncompatibleTorusError, TooLargeError
 from .graph import Graph, ball, max_degree
 from .labeling import Labeling, validate
-from .solver import _gamma_auto
+from .solver import solve
 
 LATTICE_KINDS = ("square", "hexagonal", "triangular")
 LATTICE_DEGREE = {"square": 4, "hexagonal": 3, "triangular": 6}
@@ -308,7 +308,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
         limit = max(limits.bruteforce_max_order(), limits.eccd_max_order())
         if sub.order > limit:
             raise TooLargeError(sub.order, limit)
-        out.append((radius, Fraction(_gamma_auto(sub), sub.order)))
+        out.append((radius, Fraction(solve(sub).gamma, sub.order)))
     return out
 
 

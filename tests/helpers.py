@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import mask_of
-from tworoman.solver import (_Discharge, _labels_valid, _min_cost_leaf_assignment,
-                             _seal_conflict)
+from tworoman.labeling import first_violation
+from tworoman.solver import _Discharge, _min_cost_leaf_assignment, _seal_conflict
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -163,7 +163,7 @@ def bb_gamma_degree_order(adj: list[int], attack_n: int,
         nonlocal best, nodes
         nodes += 1
         if idx == n:
-            if _labels_valid(adj, labels, attack_n):
+            if first_violation(adj, labels, attack_n) is None:
                 best = wgt
             return
         v = order[idx]

@@ -22,7 +22,7 @@ from tworoman.graph import iter_bits
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
                              _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
                              _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound,
-                             _seal_order, _seal_scan, _search_order)
+                             _seal_order, _seal_scan, _search, _search_order)
 
 
 def fam(kind, *params):
@@ -167,6 +167,24 @@ class TestDischargeBound:
         result = gamma_bruteforce(fam("cycle", 18))
         assert result.gamma == 15
         assert result.stats.nodes <= 2000
+
+
+class TestSearchCore:
+    def test_leaf_can_stop_the_search(self):
+        adj = _adj_list(fam("cycle", 10))
+        gamma = _bb_gamma(adj, 2, None)[0]
+        leaves = []
+
+        def keep(labels, wgt, twos):
+            leaves.append(tuple(labels))
+            return gamma, 0, None
+
+        every = _search(adj, 2, range(10), (0, 1, 2), None, gamma, keep)
+        assert leaves == _iter_exact_weight(adj, 2, gamma) and len(leaves) > 1
+        leaves.clear()
+        first = _search(adj, 2, range(10), (0, 1, 2), None, gamma,
+                        lambda labels, wgt, twos: leaves.append(tuple(labels)))
+        assert len(leaves) == 1 and first < every
 
 
 class TestSealOrder:
@@ -330,7 +348,7 @@ class TestSealOrder:
 
         monkeypatch.setattr(solver_module, "_search_order", lambda a: (order, 0, 0))
         # the minimize pass seeds from the id-order lex pass; keep its answer only
-        monkeypatch.setattr(solver_module, "_lex_first_labeling", lambda *args: seed)
+        monkeypatch.setattr(solver_module, "_lex_first_labeling", lambda *args, **kwargs: seed)
         monkeypatch.setattr(_Discharge, "step", spy)
         _bb_gamma(adj, 2, None)
         assert seen and all(order[depth] == v for depth, v in seen)
@@ -772,6 +790,9 @@ class TestSolveDispatch:
             SolveOptions(method="magic")
         with pytest.raises(ValueError):
             SolveOptions(method="eccd", attack_n=3)
+        for bad in ({"attack_n": 3}, {"max_twos": 1}, {"attack_n": 3, "max_twos": 1}):
+            with pytest.raises(ValueError):
+                SolveOptions(two_mode="maximize_twos", **bad)
 
     def test_auto_uses_eccd_for_small_two_attack(self):
         result = solve(fam("cycle", 10))
@@ -789,6 +810,13 @@ class TestSolveDispatch:
     def test_two_mode_dispatch(self):
         result = solve(fam("path", 4), SolveOptions(two_mode="maximize_twos"))
         assert result.labeling.labels == (0, 2, 0, 2)
+
+    @pytest.mark.parametrize("mode,twos", [("minimize_twos", 2), ("maximize_twos", 4)])
+    def test_bruteforce_honours_two_mode(self, mode, twos):
+        g = fam("grid", 2, 5)
+        result = gamma_bruteforce(g, SolveOptions(two_mode=mode))
+        assert result.labeling.labels.count(2) == twos
+        assert result.labeling == two_extremal_minimum(g, mode).labeling
 
     def test_enumerate_all_through_eccd(self):
         result = solve(fam("path", 4), SolveOptions(method="eccd", enumerate_all=True))
