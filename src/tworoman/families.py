@@ -98,7 +98,7 @@ def density(graph: Graph) -> Fraction:
     """Exact 2-attack number divided by the order, in lowest terms."""
     if graph.order == 0:
         raise BadSpecError("density of an empty graph is undefined")
-    limit = max(limits.bruteforce_max_order(), limits.eccd_max_order())
+    limit = limits.bruteforce_max_order()
     if graph.order > limit:
         raise TooLargeError(graph.order, limit)
     return Fraction(solve(graph).gamma, graph.order)

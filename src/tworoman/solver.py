@@ -49,8 +49,9 @@ class SolveOptions:
             raise ValueError(f"two_mode must be one of {TWO_MODES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.method == "eccd" and self.attack_n != 2:
-            raise ValueError("method 'eccd' requires attack_n == 2")
+        if self.method == "eccd" and (self.attack_n != 2 or self.max_twos is not None
+                                      or self.two_mode != "any"):
+            raise ValueError("method 'eccd' needs attack_n == 2, no max_twos, no two_mode")
         if self.two_mode != "any":
             if self.attack_n != 2:
                 raise ValueError("two_mode requires attack_n == 2")
@@ -486,25 +487,21 @@ def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None)
     """Extremal |V2| over valid labelings of weight ``gamma``, the minimum
     weight, searched in ``order`` (default ``_search_order``).
 
-    Maximizing tries labels 2, 0, 1 and raises the 2-count floor past each
-    count found; minimizing starts below the count of the lex-first witness
-    and lowers the 2-count cap below each count found.
+    Both directions start with an open 2-count window.  Maximizing tries
+    labels 2, 0, 1 and raises the 2-count floor past each count found;
+    minimizing tries labels 0, 1, 2 and lowers the 2-count cap below each
+    count found.
     """
     if order is None:
         order = _search_order(adj)[0]
-    if maximize:
-        best = -1
-    else:
-        best = _lex_first_labeling(adj, attack_n, gamma, bound=bound).count(2)
+    best = -1
 
     def leaf(labels, wgt, twos):
         nonlocal best
         best = twos
         return (gamma, twos + 1, None) if maximize else (gamma, 0, twos - 1)
 
-    labs = (2, 0, 1) if maximize else (0, 1, 2)
-    _search(adj, attack_n, order, labs, bound, gamma, leaf,
-            None if maximize else best - 1, best + 1 if maximize else 0)
+    _search(adj, attack_n, order, (2, 0, 1) if maximize else (0, 1, 2), bound, gamma, leaf)
     return best
 
 
@@ -566,6 +563,8 @@ def _all_minimum(graph, adj, attack_n, gamma, max_twos=None, bound=None):
 
 def enumerate_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[Labeling]:
     """All minimum-weight valid labelings in lexicographic order."""
+    if attack_n < 1:
+        raise ValueError("attack_n must be >= 1")
     _check_enum_limit(graph.order)
     adj = _adj_list(graph)
     bound = _Discharge(adj, attack_n)
@@ -865,8 +864,6 @@ def find_02020_path(labeling: Labeling) -> tuple[int, int, int, int, int] | None
 
 def solve_finite_resources(graph: Graph, max_twos: int) -> SolveResult:
     """Minimum weight using at most ``max_twos`` 2-labels (always feasible)."""
-    if max_twos < 0:
-        raise ValueError("max_twos must be >= 0")
     return gamma_bruteforce(graph, SolveOptions(max_twos=max_twos, method="bruteforce"))
 
 
@@ -893,8 +890,6 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
                    and graph.order <= limits.eccd_max_order())
         method = "eccd" if eccd_ok else "bruteforce"
     if method == "eccd":
-        if opts.max_twos is not None:
-            raise ValueError("method 'eccd' cannot enforce max_twos")
         result = gamma_via_eccd(graph)
         if opts.enumerate_all:
             all_minimum, feasible = _all_minimum(graph, _adj_list(graph), 2, result.gamma)

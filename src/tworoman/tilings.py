@@ -12,29 +12,23 @@ Lattice realizations (vertex (x, y), id = y*width + x):
                  (height must be even).
 * triangular  -- edges to (x+1, y), (x, y+1) and (x+1, y+1); 6-regular on
                  the torus.
+
+``find_pattern`` returns one built-in periodic labeling per lattice at the
+4/(degree+3) lower bound (4/7, 2/3, 4/9), checked on its minimal torus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 
-from . import limits
-from .errors import BadSpecError, IncompatibleTorusError, TooLargeError
+from .errors import BadSpecError, IncompatibleTorusError
+from .families import density
 from .graph import Graph, ball, max_degree
 from .labeling import Labeling, validate
-from .solver import solve
 
 LATTICE_KINDS = ("square", "hexagonal", "triangular")
 LATTICE_DEGREE = {"square": 4, "hexagonal": 3, "triangular": 6}
-
-_ROW_PATTERNS = {
-    "hexagonal": (0, 0, 0, 2, 2, 0),
-    "triangular": (0, 0, 0, 0, 2, 0, 0, 0, 2),
-}
-_MODULUS = {"square": 7, "hexagonal": 6, "triangular": 9}
 
 
 @dataclass(frozen=True)
@@ -112,8 +106,7 @@ def generate_patch(spec: PatchSpec) -> Patch:
 class TilingPattern:
     """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y + t) mod m].
 
-    The period vectors are (x_period, 0) and (0, y_period); a torus is
-    compatible when each dimension is a multiple of the matching period.
+    A w x h torus is compatible when w*ax and h*ay are multiples of m.
     """
 
     kind: str
@@ -131,16 +124,6 @@ class TilingPattern:
 
     def label_at(self, x: int, y: int) -> int:
         return self.labels[(self.x_coeff * x + self.y_coeff * y + self.offset) % self.modulus]
-
-    @property
-    def x_period(self) -> int:
-        from math import gcd
-        return self.modulus // gcd(self.x_coeff, self.modulus)
-
-    @property
-    def y_period(self) -> int:
-        from math import gcd
-        return self.modulus // gcd(self.y_coeff, self.modulus)
 
     @property
     def declared_density(self) -> Fraction:
@@ -165,39 +148,28 @@ def pattern_labeling(pattern: TilingPattern, patch: Patch) -> Labeling:
     return Labeling(patch.graph, tuple(labels))
 
 
-def _pattern_candidates(kind: str):
-    m = _MODULUS[kind]
-    if kind == "square":
-        # per-block label strings are not pinned down for the square lattice,
-        # so sweep the placements of two 2-labels among the 7 residues
-        for y_coeff in range(m):
-            for i, j in combinations(range(m), 2):
-                labels = tuple(2 if r in (i, j) else 0 for r in range(m))
-                yield TilingPattern(kind, m, 1, y_coeff, 0, labels)
-        return
-    labels = _ROW_PATTERNS[kind]
-    for x_coeff in range(m):
-        for y_coeff in range(m):
-            for offset in range(m):
-                yield TilingPattern(kind, m, x_coeff, y_coeff, offset, labels)
+# (modulus, x_coeff, y_coeff, offset, labels); two 2s among the deg+3 residues
+_PATTERNS = {
+    "square": (7, 1, 2, 0, (2, 0, 0, 2, 0, 0, 0)),
+    "hexagonal": (6, 2, 2, 0, (0, 0, 0, 2, 2, 0)),
+    "triangular": (9, 1, 1, 0, (0, 0, 0, 0, 2, 0, 0, 0, 2)),
+}
 
 
-@lru_cache(maxsize=None)
 def find_pattern(kind: str) -> TilingPattern:
-    """First periodic labeling that is valid on the minimal torus and meets
-    the 4/(degree+3) target density, in a fixed candidate order."""
+    """The built-in periodic labeling of the lattice, checked on its minimal
+    (modulus x modulus) torus: it must be valid at attack 2 and meet the
+    4/(degree+3) target density, or BadSpecError is raised."""
     if kind not in LATTICE_KINDS:
         raise BadSpecError(f"unknown tiling kind: {kind!r}")
-    m = _MODULUS[kind]
+    pattern = TilingPattern(kind, *_PATTERNS[kind])
+    m = pattern.modulus
     patch = generate_patch(PatchSpec(kind, m, m, "torus"))
-    target = density_target(kind)
-    for pattern in _pattern_candidates(kind):
-        labeling = pattern_labeling(pattern, patch)
-        if Fraction(labeling.weight, patch.graph.order) != target:
-            continue
-        if validate(labeling, 2).valid:
-            return pattern
-    raise BadSpecError(f"no valid {kind} pattern found")
+    labeling = pattern_labeling(pattern, patch)
+    if (Fraction(labeling.weight, patch.graph.order) != density_target(kind)
+            or not validate(labeling, 2).valid):
+        raise BadSpecError(f"built-in {kind} pattern is not a valid 4/(deg+3) labeling")
+    return pattern
 
 
 def density_target(kind: str) -> Fraction:
@@ -291,8 +263,8 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
 
     For the path the ball of radius n is a path on 2n+1 vertices, whose
     number is (2n+1) - floor((2n+1)/5) in closed form (cross-checked against
-    the solver in the test suite).  Lattice balls are solved exactly and
-    raise TooLargeError beyond the exhaustive limits.
+    the solver in the test suite).  Lattice balls go through
+    ``families.density``, which raises TooLargeError past its limit.
     """
     out = []
     for radius in radii:
@@ -304,11 +276,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
             continue
         if kind not in LATTICE_KINDS:
             raise BadSpecError(f"unknown tiling kind: {kind!r}")
-        sub = ball_graph(kind, radius)
-        limit = max(limits.bruteforce_max_order(), limits.eccd_max_order())
-        if sub.order > limit:
-            raise TooLargeError(sub.order, limit)
-        out.append((radius, Fraction(solve(sub).gamma, sub.order)))
+        out.append((radius, density(ball_graph(kind, radius))))
     return out
 
 

@@ -206,6 +206,11 @@ class TestExitCodes:
                            "--method", "eccd", "--attack", "3")
         assert code == 2 and "error" in err
 
+    def test_eccd_method_rejects_two_mode(self, capsys, fixtures_dir):
+        code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
+                           "--method", "eccd", "--two-mode", "min")
+        assert code == 2 and "error" in err
+
     def test_two_mode_with_cap_rejected(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
                            "--two-mode", "min", "--max-twos", "1")

@@ -336,7 +336,6 @@ class TestSealOrder:
         g = fam("grid", 3, 4)
         adj = _adj_list(g)
         gamma = _bb_gamma(adj, 2, None)[0]
-        seed = solver_module._lex_first_labeling(adj, 2, gamma)
         order = list(range(g.order))
         random.Random(15).shuffle(order)
         seen = []
@@ -347,8 +346,6 @@ class TestSealOrder:
             return step(self, state, v, und2, two_mask)
 
         monkeypatch.setattr(solver_module, "_search_order", lambda a: (order, 0, 0))
-        # the minimize pass seeds from the id-order lex pass; keep its answer only
-        monkeypatch.setattr(solver_module, "_lex_first_labeling", lambda *args, **kwargs: seed)
         monkeypatch.setattr(_Discharge, "step", spy)
         _bb_gamma(adj, 2, None)
         assert seen and all(order[depth] == v for depth, v in seen)
@@ -419,6 +416,11 @@ class TestEnumerate:
         monkeypatch.setenv("TWO_RD_MAX_ORDER", "4")
         with pytest.raises(TooLargeError):
             enumerate_minimum_labelings(fam("path", 5))
+
+    @pytest.mark.parametrize("attack", [0, -1])
+    def test_rejects_attack_below_one(self, attack):
+        with pytest.raises(ValueError):
+            enumerate_minimum_labelings(fam("path", 4), attack)
 
 
 class TestEccd:
@@ -790,6 +792,11 @@ class TestSolveDispatch:
             SolveOptions(method="magic")
         with pytest.raises(ValueError):
             SolveOptions(method="eccd", attack_n=3)
+        with pytest.raises(ValueError):
+            SolveOptions(method="eccd", max_twos=1)
+        for mode in ("minimize_twos", "maximize_twos"):
+            with pytest.raises(ValueError):
+                SolveOptions(method="eccd", two_mode=mode)
         for bad in ({"attack_n": 3}, {"max_twos": 1}, {"attack_n": 3, "max_twos": 1}):
             with pytest.raises(ValueError):
                 SolveOptions(two_mode="maximize_twos", **bad)

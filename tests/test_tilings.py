@@ -7,6 +7,7 @@ from tworoman import (BadSpecError, IncompatibleTorusError, PatchSpec,
                       ball_density_sequence, ball_graph, density_lower_bound,
                       find_pattern, gamma_bruteforce, generate_patch, max_degree,
                       pattern_labeling, pattern_table, validate, verify_pattern)
+from tworoman import tilings
 
 TARGETS = {"square": Fraction(4, 7), "hexagonal": Fraction(2, 3),
            "triangular": Fraction(4, 9)}
@@ -74,6 +75,27 @@ class TestPatterns:
     def test_quoted_row_patterns_kept(self):
         assert find_pattern("hexagonal").labels == (0, 0, 0, 2, 2, 0)
         assert find_pattern("triangular").labels == (0, 0, 0, 0, 2, 0, 0, 0, 2)
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("square", (7, 1, 2, 0, (2, 0, 0, 2, 0, 0, 0))),
+        ("hexagonal", (6, 2, 2, 0, (0, 0, 0, 2, 2, 0))),
+        ("triangular", (9, 1, 1, 0, (0, 0, 0, 0, 2, 0, 0, 0, 2))),
+    ])
+    def test_builtin_patterns_pinned(self, kind, fields):
+        assert find_pattern(kind) == TilingPattern(kind, *fields)
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("square", (7, 1, 2, 0, (2, 2, 0, 0, 0, 0, 0))),  # right density, invalid
+        ("hexagonal", (6, 2, 2, 0, (0, 0, 1, 2, 2, 0))),  # valid, too dense
+    ])
+    def test_broken_builtin_pattern_rejected(self, monkeypatch, kind, fields):
+        monkeypatch.setitem(tilings._PATTERNS, kind, fields)
+        with pytest.raises(BadSpecError):
+            find_pattern(kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(BadSpecError):
+            find_pattern("rhombic")
 
     def test_square_block_weight(self):
         labels = find_pattern("square").labels
