@@ -115,17 +115,17 @@ def _cmd_optimal(args) -> int:
                               "certificate": None}, sort_keys=True))
         else:
             print("sub-optimal (optimal number 0)")
-        return 0
-    number = graph.order - cert.labeling.weight
-    path = _ext_ids(graph, cert.path)
-    if args.json:
-        print(json.dumps({"optimal": True, "optimal_number": number,
-                          "certificate": path}, sort_keys=True))
     else:
-        print(f"optimal (optimal number {number})")
-        print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in path)}")
+        number = graph.order - cert.labeling.weight
+        path = _ext_ids(graph, cert.path)
+        if args.json:
+            print(json.dumps({"optimal": True, "optimal_number": number,
+                              "certificate": path}, sort_keys=True))
+        else:
+            print(f"optimal (optimal number {number})")
+            print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in path)}")
     if args.dot:
-        _emit(graphio.to_dot(graph, cert.labeling), args.dot)
+        _emit(graphio.to_dot(graph, cert.labeling if verdict else None), args.dot)
     return 0
 
 

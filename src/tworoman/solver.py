@@ -16,7 +16,7 @@ other; neither consults the other's answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 
@@ -50,8 +50,9 @@ class SolveOptions:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method == "eccd" and (self.attack_n != 2 or self.max_twos is not None
-                                      or self.two_mode != "any"):
-            raise ValueError("method 'eccd' needs attack_n == 2, no max_twos, no two_mode")
+                                      or self.two_mode != "any" or self.enumerate_all):
+            raise ValueError("method 'eccd' needs attack_n == 2, no max_twos, no two_mode"
+                             " and no enumerate_all")
         if self.two_mode != "any":
             if self.attack_n != 2:
                 raise ValueError("two_mode requires attack_n == 2")
@@ -515,61 +516,54 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     The cost grows with how far the bound falls below gamma and with the
     width of the frontier that order leaves (``stats.frontier_width``), not
     with the order of the graph.  The witness is the lexicographically
-    smallest minimum label vector, found by a second budgeted pass in id
-    order; with ``opts.two_mode`` set, an extremal-count pass in the optimum
-    order first fixes its 2-count.  Measured on one core of a 2-vCPU Xeon
-    with Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5, grid 4x6, the
-    square ball of radius 3 (25 vertices) and the triangular ball of radius
-    2 (19 vertices) take 0.01-0.1 s each; grid 6x6, grid 5x7 and the
-    triangular ball of radius 3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8
-    takes 0.97 s: 0.25 s for the optimum pass (48 k nodes; 4 M with the
-    plain seal order, which sweeps its rows of 8) and the rest for the
-    id-order witness pass, which still walks those rows.
+    smallest minimum label vector with a 2-count in the window, found by a
+    second pass in id order; with ``opts.two_mode`` set, an extremal-count
+    pass in the optimum order first pins the window.  ``opts.enumerate_all``
+    checks the enumeration limit before any search and makes that id-order
+    pass list every minimum labeling; the witness is then the first one
+    listed in the window.  Measured on one core of a 2-vCPU Xeon with
+    Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5, grid 4x6, the square
+    ball of radius 3 (25 vertices) and the triangular ball of radius 2 (19
+    vertices) take 0.01-0.1 s each; grid 6x6, grid 5x7 and the triangular
+    ball of radius 3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8 takes
+    0.97 s: 0.25 s for the optimum pass (48 k nodes; 4 M with the plain seal
+    order, which sweeps its rows of 8) and the rest for the id-order witness
+    pass, which still walks those rows.
     """
     opts = opts or SolveOptions()
+    if opts.enumerate_all:
+        limit = limits.enumeration_max_order()
+        if graph.order > limit:
+            raise TooLargeError(graph.order, limit)
     start = time.perf_counter()
     adj = _adj_list(graph)
     attack, cap = opts.attack_n, opts.max_twos
     bound = _Discharge(adj, attack)
     order, _, width = _search_order(adj)
     gamma, nodes = _bb_gamma(adj, attack, cap, order, bound)
-    tlo, thi = 0, cap
+    tlo, thi = 0, graph.order if cap is None else cap
     if opts.two_mode != "any":
         tlo = thi = _extremal_twos(adj, attack, gamma, opts.two_mode == "maximize_twos",
                                    order, bound)
-    witness = Labeling(graph, _lex_first_labeling(adj, attack, gamma, thi, tlo, bound))
     all_minimum = feasible = None
     if opts.enumerate_all:
-        all_minimum, feasible = _all_minimum(graph, adj, attack, gamma, cap, bound)
+        found = _iter_exact_weight(adj, attack, gamma, cap, bound)
+        all_minimum = tuple(Labeling(graph, labs) for labs in found)
+        feasible = tuple(sorted({labs.count(2) for labs in found}))
+        first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
+    else:
+        first = _lex_first_labeling(adj, attack, gamma, thi, tlo, bound)
     stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
-    return SolveResult(gamma, witness, graph.order - gamma, stats, all_minimum, feasible)
-
-
-def _check_enum_limit(order: int):
-    limit = limits.enumeration_max_order()
-    if order > limit:
-        raise TooLargeError(order, limit)
-
-
-def _all_minimum(graph, adj, attack_n, gamma, max_twos=None, bound=None):
-    """Every valid labeling of weight gamma in lex order, with the sorted
-    2-counts they take: the ``enumerate_all`` fields of a result."""
-    _check_enum_limit(graph.order)
-    all_minimum = tuple(Labeling(graph, labs)
-                        for labs in _iter_exact_weight(adj, attack_n, gamma, max_twos, bound))
-    feasible = tuple(sorted({lab.labels.count(2) for lab in all_minimum}))
-    return all_minimum, feasible
+    return SolveResult(gamma, Labeling(graph, first), graph.order - gamma, stats,
+                       all_minimum, feasible)
 
 
 def enumerate_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[Labeling]:
-    """All minimum-weight valid labelings in lexicographic order."""
-    if attack_n < 1:
-        raise ValueError("attack_n must be >= 1")
-    _check_enum_limit(graph.order)
-    adj = _adj_list(graph)
-    bound = _Discharge(adj, attack_n)
-    gamma, _ = _bb_gamma(adj, attack_n, None, bound=bound)
-    return list(_all_minimum(graph, adj, attack_n, gamma, None, bound)[0])
+    """All minimum-weight valid labelings in lexicographic order: the
+    ``all_minimum`` list of an enumerating ``gamma_bruteforce``, so the
+    enumeration limit is checked before any search."""
+    opts = SolveOptions(attack_n=attack_n, method="bruteforce", enumerate_all=True)
+    return list(gamma_bruteforce(graph, opts).all_minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -880,21 +874,16 @@ def two_extremal_minimum(graph: Graph, mode: str,
 
 
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Front door: dispatch on method and two_mode."""
+    """Front door: dispatch on method and two_mode.  ``auto`` takes the
+    packing route at attack 2 with no 2-cap, no enumeration and an order
+    within ``limits.eccd_max_order()``, and the branch and bound otherwise."""
     opts = opts or SolveOptions()
     if opts.two_mode != "any":
         return two_extremal_minimum(graph, opts.two_mode, opts.enumerate_all)
-    method = opts.method
-    if method == "auto":
-        eccd_ok = (opts.attack_n == 2 and opts.max_twos is None
-                   and graph.order <= limits.eccd_max_order())
-        method = "eccd" if eccd_ok else "bruteforce"
-    if method == "eccd":
-        result = gamma_via_eccd(graph)
-        if opts.enumerate_all:
-            all_minimum, feasible = _all_minimum(graph, _adj_list(graph), 2, result.gamma)
-            result = replace(result, all_minimum=all_minimum, feasible_two_counts=feasible)
-        return result
+    if opts.method == "eccd" or opts.method == "auto" and (
+            opts.attack_n == 2 and opts.max_twos is None and not opts.enumerate_all
+            and graph.order <= limits.eccd_max_order()):
+        return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 
 

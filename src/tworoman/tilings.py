@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadSpecError, IncompatibleTorusError
-from .families import density
+from .families import density, density_lower_bound
 from .graph import Graph, ball, max_degree
 from .labeling import Labeling, validate
 
@@ -127,7 +127,10 @@ class TilingPattern:
 
     @property
     def declared_density(self) -> Fraction:
-        return Fraction(sum(self.labels), self.modulus)
+        """The average label over the residue classes realized on the
+        lattice, which cover a compatible torus uniformly."""
+        realized = _realized_residues(self)
+        return Fraction(sum(self.labels[r] for r in realized), len(realized))
 
 
 def pattern_labeling(pattern: TilingPattern, patch: Patch) -> Labeling:
@@ -166,14 +169,10 @@ def find_pattern(kind: str) -> TilingPattern:
     m = pattern.modulus
     patch = generate_patch(PatchSpec(kind, m, m, "torus"))
     labeling = pattern_labeling(pattern, patch)
-    if (Fraction(labeling.weight, patch.graph.order) != density_target(kind)
-            or not validate(labeling, 2).valid):
+    target = density_lower_bound(LATTICE_DEGREE[kind])
+    if Fraction(labeling.weight, patch.graph.order) != target or not validate(labeling, 2).valid:
         raise BadSpecError(f"built-in {kind} pattern is not a valid 4/(deg+3) labeling")
     return pattern
-
-
-def density_target(kind: str) -> Fraction:
-    return Fraction(4, LATTICE_DEGREE[kind] + 3)
 
 
 @dataclass(frozen=True)
@@ -210,23 +209,29 @@ def verify_pattern(pattern: TilingPattern, sizes) -> list[PatternReport]:
 def pattern_table(pattern: TilingPattern) -> str:
     """Residue-class table, one line per realized residue: 'dx dy label'.
 
-    Coefficients sharing a factor with the modulus realize only a subgroup of
-    residues on the lattice; unrealized classes carry no cells and are
-    omitted.  Realized classes cover a compatible torus uniformly, so the
-    table's label average equals the pattern density.
+    Unrealized classes carry no cells and are omitted, so the table's label
+    average is the pattern's ``declared_density``.
     """
-    seen = {}
+    lines = []
+    for r, (dx, dy) in sorted(_realized_residues(pattern).items()):
+        lines.append(f"{dx} {dy} {pattern.labels[r]}")
+    return "\n".join(lines) + "\n"
+
+
+def _realized_residues(pattern: TilingPattern) -> dict[int, tuple[int, int]]:
+    """Each residue class some lattice cell takes, with its first cell
+    (dx, dy) in row-major order over one modulus x modulus period.
+
+    Coefficients sharing a factor with the modulus realize only a subgroup
+    coset of the residues.
+    """
+    seen: dict[int, tuple[int, int]] = {}
     m = pattern.modulus
     for dy in range(m):
         for dx in range(m):
             r = (pattern.x_coeff * dx + pattern.y_coeff * dy + pattern.offset) % m
-            if r not in seen:
-                seen[r] = (dx, dy)
-    lines = []
-    for r in sorted(seen):
-        dx, dy = seen[r]
-        lines.append(f"{dx} {dy} {pattern.labels[r]}")
-    return "\n".join(lines) + "\n"
+            seen.setdefault(r, (dx, dy))
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +279,6 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
             n = 2 * radius + 1
             out.append((radius, Fraction(n - n // 5, n)))
             continue
-        if kind not in LATTICE_KINDS:
-            raise BadSpecError(f"unknown tiling kind: {kind!r}")
         out.append((radius, density(ball_graph(kind, radius))))
     return out
 
@@ -287,8 +290,6 @@ def ball_density_bounds(kind: str, radii) -> list[tuple[int, Fraction, Fraction]
     periodic pattern restricted to the ball, repaired to validity by raising
     offending 0s to 1; its density is achievable, hence an upper bound.
     """
-    if kind not in LATTICE_KINDS:
-        raise BadSpecError(f"unknown tiling kind: {kind!r}")
     pattern = find_pattern(kind)
     out = []
     for radius in radii:
@@ -304,7 +305,7 @@ def ball_density_bounds(kind: str, radii) -> list[tuple[int, Fraction, Fraction]
             bump = min(v for v in report.witness if labeling.labels[v] == 0)
             labels[bump] = 1
             labeling = Labeling(sub, tuple(labels))
-        lower = Fraction(4, max_degree(sub) + 3)
+        lower = density_lower_bound(max_degree(sub))
         upper = Fraction(labeling.weight, sub.order)
         out.append((radius, lower, upper))
     return out

@@ -80,6 +80,8 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["feasible_two_counts"] == [0, 1, 2]
         assert len(doc["all_minimum"]) >= 5
+        assert doc["stats"]["method"] == "bruteforce"
+        assert [doc["labels"][str(v)] for v in range(4)] == doc["all_minimum"][0]
 
     def test_method_selection(self, capsys, fixtures_dir):
         for method in ("bruteforce", "eccd", "auto"):
@@ -108,6 +110,16 @@ class TestOptimal:
         capsys.readouterr()
         code, out, _ = run(capsys, "optimal", str(path))
         assert code == 0 and "sub-optimal" in out
+
+    def test_suboptimal_dot_is_unlabeled(self, capsys, tmp_path):
+        path = tmp_path / "k3.txt"
+        target = tmp_path / "k3.dot"
+        cli_main(["gen", "complete", "3", "-o", str(path)])
+        capsys.readouterr()
+        code, out, _ = run(capsys, "optimal", str(path), "--dot", str(target))
+        assert code == 0 and "sub-optimal" in out
+        dot = target.read_text()
+        assert dot.startswith("graph G {") and '"0" [label="0"' in dot
 
     def test_json(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "optimal", fixture(fixtures_dir, "k66.txt"),
@@ -210,6 +222,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
                            "--method", "eccd", "--two-mode", "min")
         assert code == 2 and "error" in err
+
+    def test_eccd_method_rejects_all(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
+                             "--method", "eccd", "--all")
+        assert code == 2 and out == "" and "error" in err
 
     def test_two_mode_with_cap_rejected(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),

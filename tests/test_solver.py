@@ -825,9 +825,64 @@ class TestSolveDispatch:
         assert result.labeling.labels.count(2) == twos
         assert result.labeling == two_extremal_minimum(g, mode).labeling
 
-    def test_enumerate_all_through_eccd(self):
-        result = solve(fam("path", 4), SolveOptions(method="eccd", enumerate_all=True))
+    def test_enumerate_all_under_auto(self):
+        result = solve(fam("path", 4), SolveOptions(enumerate_all=True))
+        assert result.stats.method == "bruteforce"
         assert result.feasible_two_counts == (0, 1, 2)
+
+    def test_eccd_rejects_enumerate_all(self):
+        with pytest.raises(ValueError):
+            SolveOptions(method="eccd", enumerate_all=True)
+
+    @pytest.mark.parametrize("attack", [1, 2, 3])
+    def test_enumerating_witness_is_first_listed(self, attack):
+        rng = random.Random(900 + attack)
+        for _ in range(25):
+            g = _random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.4, 0.6)))
+            for cap in (None, 0, 1, 2):
+                result = solve(g, SolveOptions(attack_n=attack, max_twos=cap,
+                                               enumerate_all=True))
+                case = (g.order, list(g.edges()), attack, cap)
+                assert result.stats.method == "bruteforce", case
+                assert result.labeling == result.all_minimum[0], case
+                plain = solve(g, SolveOptions(attack_n=attack, max_twos=cap,
+                                              method="bruteforce"))
+                assert result.labeling == plain.labeling, case
+
+    @pytest.mark.parametrize("mode", ["minimize_twos", "maximize_twos"])
+    def test_enumerating_two_mode_witness(self, mode):
+        rng = random.Random(950)
+        for _ in range(25):
+            g = _random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+            result = solve(g, SolveOptions(two_mode=mode, enumerate_all=True))
+            counts = result.feasible_two_counts
+            twos = counts[0] if mode == "minimize_twos" else counts[-1]
+            first = next(m for m in result.all_minimum if m.labels.count(2) == twos)
+            case = (g.order, list(g.edges()))
+            assert result.labeling == first, case
+            assert result.labeling == solve(g, SolveOptions(two_mode=mode)).labeling, case
+
+    @pytest.mark.parametrize("opts", [
+        SolveOptions(enumerate_all=True),
+        SolveOptions(method="bruteforce", max_twos=1, enumerate_all=True),
+        SolveOptions(two_mode="maximize_twos", enumerate_all=True),
+    ], ids=["auto", "bruteforce-cap", "two-mode"])
+    def test_enumeration_limit_checked_before_search(self, monkeypatch, opts):
+        calls = []
+        real = solver_module._search
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_search", spy)
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", "4")
+        with pytest.raises(TooLargeError):
+            solve(fam("path", 5), opts)
+        assert calls == []
+        monkeypatch.delenv("TWO_RD_MAX_ORDER")
+        solve(fam("path", 5), opts)
+        assert calls
 
 
 class TestMinimumLabelingStructure:

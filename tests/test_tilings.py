@@ -72,6 +72,14 @@ class TestPatterns:
         assert pattern.declared_density == TARGETS[kind]
         assert pattern.declared_density == density_lower_bound(DEGREES[kind])
 
+    def test_declared_density_counts_realized_residues_only(self):
+        # coefficients 2, 2 mod 6 never reach residues 1, 3 and 5
+        pattern = TilingPattern("hexagonal", 6, 2, 2, 0, (0, 0, 1, 2, 2, 0))
+        assert pattern.declared_density == 1
+        assert verify_pattern(pattern, [(6, 6)])[0].density == 1
+        rows = [line.split() for line in pattern_table(pattern).splitlines()]
+        assert Fraction(sum(int(lab) for _, _, lab in rows), len(rows)) == 1
+
     def test_quoted_row_patterns_kept(self):
         assert find_pattern("hexagonal").labels == (0, 0, 0, 2, 2, 0)
         assert find_pattern("triangular").labels == (0, 0, 0, 0, 2, 0, 0, 0, 2)
