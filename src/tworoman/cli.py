@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import families, graphio, solver, tilings
+from . import families, graphio, limits, solver, tilings
 from .errors import BadSpecError, TwoRomanError
 from .labeling import validate
 
@@ -74,6 +74,9 @@ def _cmd_solve(args) -> int:
         enumerate_all=args.all,
     )
     result = solver.solve(parsed.graph, opts)
+    by_id = sorted(range(parsed.graph.order), key=parsed.graph.external_id)
+    vectors = None if result.all_minimum is None else [
+        [lab.labels[v] for v in by_id] for lab in result.all_minimum]
     if args.json:
         extra = {
             "gamma": result.gamma,
@@ -85,8 +88,8 @@ def _cmd_solve(args) -> int:
         }
         if result.feasible_two_counts is not None:
             extra["feasible_two_counts"] = list(result.feasible_two_counts)
-        if result.all_minimum is not None:
-            extra["all_minimum"] = [list(lab.labels) for lab in result.all_minimum]
+        if vectors is not None:
+            extra["all_minimum"] = vectors
         doc = graphio.structured_document(parsed.graph, result.labeling, extra)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -96,10 +99,10 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(graphio.write_graph_file(parsed.graph, result.labeling))
         if result.feasible_two_counts is not None:
             print(f"feasible counts of 2-labels: {list(result.feasible_two_counts)}")
-        if result.all_minimum is not None:
-            print(f"minimum labelings: {len(result.all_minimum)}")
-            for lab in result.all_minimum:
-                print("  " + ",".join(str(x) for x in lab.labels))
+        if vectors is not None:
+            print(f"minimum labelings: {len(vectors)}")
+            for vector in vectors:
+                print("  " + ",".join(str(x) for x in vector))
     if args.dot:
         _emit(graphio.to_dot(parsed.graph, result.labeling), args.dot)
     return 0
@@ -249,6 +252,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        limits.enumeration_max_order()  # a bad override is a usage error everywhere
         return args.func(args)
     except (TwoRomanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,10 +26,10 @@ class EmptyGraphError(TwoRomanError):
 
 
 class TooLargeError(TwoRomanError):
-    """Graph exceeds the configured exhaustive-search limit."""
+    """Graph exceeds the enumeration order limit."""
 
     def __init__(self, order, limit):
-        super().__init__(f"order {order} exceeds exhaustive limit {limit}")
+        super().__init__(f"order {order} exceeds enumeration limit {limit}")
         self.order = order
         self.limit = limit
 

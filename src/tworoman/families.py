@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import limits
-from .errors import BadSpecError, TooLargeError
+from .errors import BadSpecError
 from .graph import Graph, build_graph
 from .solver import solve
 
@@ -95,12 +94,13 @@ def gamma_formula(spec: FamilySpec) -> int | None:
 
 
 def density(graph: Graph) -> Fraction:
-    """Exact 2-attack number divided by the order, in lowest terms."""
+    """Exact 2-attack number divided by the order, in lowest terms.
+
+    The number comes from ``solve``, so this runs at any order; its cost is
+    that of the route ``solve`` picks.
+    """
     if graph.order == 0:
         raise BadSpecError("density of an empty graph is undefined")
-    limit = limits.bruteforce_max_order()
-    if graph.order > limit:
-        raise TooLargeError(graph.order, limit)
     return Fraction(solve(graph).gamma, graph.order)
 
 

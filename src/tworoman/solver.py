@@ -27,6 +27,8 @@ from .labeling import Labeling, first_violation, validate
 
 TWO_MODES = ("any", "minimize_twos", "maximize_twos")
 METHODS = ("bruteforce", "eccd", "auto")
+# Largest order at which ``solve``'s ``auto`` takes the packing route.
+_ECCD_MAX_ORDER = 22
 
 
 @dataclass(frozen=True)
@@ -863,26 +865,24 @@ def solve_finite_resources(graph: Graph, max_twos: int) -> SolveResult:
 
 def two_extremal_minimum(graph: Graph, mode: str,
                          enumerate_all: bool = False) -> SolveResult:
-    """Among minimum-weight labelings, one with the fewest or most 2-labels."""
+    """Among minimum-weight labelings, one with the fewest or most 2-labels.
+
+    Runs at any order; only ``enumerate_all`` checks the enumeration limit.
+    """
     if mode not in ("minimize_twos", "maximize_twos"):
         raise ValueError("mode must be 'minimize_twos' or 'maximize_twos'")
-    limit = limits.bruteforce_max_order()
-    if graph.order > limit:
-        raise TooLargeError(graph.order, limit)
     return gamma_bruteforce(graph, SolveOptions(two_mode=mode, method="bruteforce",
                                                 enumerate_all=enumerate_all))
 
 
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Front door: dispatch on method and two_mode.  ``auto`` takes the
-    packing route at attack 2 with no 2-cap, no enumeration and an order
-    within ``limits.eccd_max_order()``, and the branch and bound otherwise."""
+    """Front door: dispatch on method.  ``auto`` takes the packing route at
+    attack 2 with no 2-cap, no two mode, no enumeration and an order of at
+    most ``_ECCD_MAX_ORDER``, and the branch and bound otherwise."""
     opts = opts or SolveOptions()
-    if opts.two_mode != "any":
-        return two_extremal_minimum(graph, opts.two_mode, opts.enumerate_all)
     if opts.method == "eccd" or opts.method == "auto" and (
-            opts.attack_n == 2 and opts.max_twos is None and not opts.enumerate_all
-            and graph.order <= limits.eccd_max_order()):
+            opts.attack_n == 2 and opts.max_twos is None and opts.two_mode == "any"
+            and not opts.enumerate_all and graph.order <= _ECCD_MAX_ORDER):
         return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 

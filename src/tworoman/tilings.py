@@ -269,7 +269,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
     For the path the ball of radius n is a path on 2n+1 vertices, whose
     number is (2n+1) - floor((2n+1)/5) in closed form (cross-checked against
     the solver in the test suite).  Lattice balls go through
-    ``families.density``, which raises TooLargeError past its limit.
+    ``families.density``, which has no order limit.
     """
     out = []
     for radius in radii:

@@ -229,10 +229,9 @@ def test_criterion_10_roundtrip_and_exit_codes(fixtures_dir, tmp_path, capsys):
         info["fixtures"] = len(names)
 
 
-def test_optional_sierpinski_unique_two_count(monkeypatch):
+def test_optional_sierpinski_unique_two_count():
     """Third-iteration triangle fixture: 2-minimized and 2-maximized minimum
     labelings use the same number of 2-labels."""
-    monkeypatch.setenv("TWO_RD_MAX_ORDER", "42")
     graph = sierpinski_graph(3)
     low = two_extremal_minimum(graph, "minimize_twos")
     high = two_extremal_minimum(graph, "maximize_twos")

@@ -83,6 +83,17 @@ class TestSolve:
         assert doc["stats"]["method"] == "bruteforce"
         assert [doc["labels"][str(v)] for v in range(4)] == doc["all_minimum"][0]
 
+    def test_all_vectors_in_id_order(self, capsys, tmp_path):
+        p5 = tmp_path / "p5.txt"
+        p5.write_text("4;-1;3\n0;-1;1\n1;-1;0,2\n2;-1;1,3\n3;-1;2,4\n")
+        code, out, _ = run(capsys, "solve", str(p5), "--all", "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert [doc["labels"][str(v)] for v in range(5)] == [0, 2, 0, 2, 0]
+        assert doc["all_minimum"] == [[0, 2, 0, 2, 0]]
+        code, out, _ = run(capsys, "solve", str(p5), "--all")
+        assert code == 0 and out.endswith("minimum labelings: 1\n  0,2,0,2,0\n")
+
     def test_method_selection(self, capsys, fixtures_dir):
         for method in ("bruteforce", "eccd", "auto"):
             code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "k66.txt"),
@@ -246,6 +257,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "TWO_RD_MAX_ORDER" in err
         assert repr(raw) in err
+
+    @pytest.mark.parametrize("argv", [("validate", "fig2_k6.txt"),
+                                      ("solve", "p4.txt", "--attack", "3")],
+                             ids=["validate", "solve-attack-3"])
+    def test_bad_max_order_env_any_subcommand(self, capsys, fixtures_dir, monkeypatch, argv):
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", "abc")
+        code, out, err = run(capsys, argv[0], fixture(fixtures_dir, argv[1]), *argv[2:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "TWO_RD_MAX_ORDER" in err
 
     def test_solve_has_no_threads_flag(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import sampled_connected_graphs
-from tworoman import (BadSpecError, FamilySpec, TooLargeError, build_graph,
+from tworoman import (BadSpecError, FamilySpec, build_graph,
                       density, density_lower_bound, enumerate_minimum_labelings,
                       gamma_bruteforce, gamma_formula, gamma_via_eccd, generate,
                       max_degree, max_eccd)
@@ -85,9 +85,8 @@ class TestDensity:
     def test_k26(self):
         assert density(generate(FamilySpec("complete_bipartite", (2, 6)))) == Fraction(1, 2)
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            density(generate(FamilySpec("grid", (8, 8))))
+    def test_grid_4x7(self):
+        assert density(generate(FamilySpec("grid", (4, 7)))) == Fraction(19, 28)
 
     def test_empty_rejected(self):
         with pytest.raises(BadSpecError):

@@ -365,19 +365,17 @@ class TestSealOrder:
 class TestLimits:
     def test_override(self, monkeypatch):
         monkeypatch.setenv("TWO_RD_MAX_ORDER", "7")
-        assert limits.bruteforce_max_order() == 7
         assert limits.enumeration_max_order() == 7
-        assert limits.eccd_max_order() == 7
 
     def test_unset_gives_defaults(self, monkeypatch):
         monkeypatch.delenv("TWO_RD_MAX_ORDER", raising=False)
-        assert limits.bruteforce_max_order() == limits.DEFAULT_BRUTEFORCE_MAX_ORDER
+        assert limits.enumeration_max_order() == limits.DEFAULT_ENUMERATION_MAX_ORDER == 16
 
     @pytest.mark.parametrize("raw", ["abc", "-3", "", "1.5"])
     def test_bad_value_is_an_error(self, monkeypatch, raw):
         monkeypatch.setenv("TWO_RD_MAX_ORDER", raw)
         with pytest.raises(BadLimitError) as info:
-            limits.bruteforce_max_order()
+            limits.enumeration_max_order()
         assert "TWO_RD_MAX_ORDER" in str(info.value)
         assert repr(raw) in str(info.value)
         assert info.value.value == raw
@@ -710,8 +708,9 @@ class TestTwoExtremal:
 
     def test_too_large(self, monkeypatch):
         monkeypatch.setenv("TWO_RD_MAX_ORDER", "3")
+        assert two_extremal_minimum(fam("path", 4), "minimize_twos").gamma == 4
         with pytest.raises(TooLargeError):
-            two_extremal_minimum(fam("path", 4), "minimize_twos")
+            two_extremal_minimum(fam("path", 4), "minimize_twos", enumerate_all=True)
 
 
 class TestAssignPrivateNeighbors:
@@ -805,6 +804,12 @@ class TestSolveDispatch:
         result = solve(fam("cycle", 10))
         assert result.stats.method == "eccd"
         assert result.gamma == 8
+
+    def test_auto_route_ignores_limit_override(self, monkeypatch):
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", "5")
+        assert solve(fam("cycle", 12)).stats.method == "eccd"
+        monkeypatch.setenv("TWO_RD_MAX_ORDER", "42")
+        assert solve(fam("cycle", 23)).stats.method == "bruteforce"
 
     def test_auto_falls_back_for_other_attacks(self):
         result = solve(fam("cycle", 5), SolveOptions(attack_n=1))

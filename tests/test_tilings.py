@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tworoman import (BadSpecError, IncompatibleTorusError, PatchSpec,
-                      TilingPattern, TooLargeError, ball_density_bounds,
+                      TilingPattern, ball_density_bounds,
                       ball_density_sequence, ball_graph, density_lower_bound,
                       find_pattern, gamma_bruteforce, generate_patch, max_degree,
                       pattern_labeling, pattern_table, validate, verify_pattern)
@@ -192,9 +192,8 @@ class TestBallDensities:
         (radius, value), = ball_density_sequence("square", [2])
         assert value == Fraction(gamma_bruteforce(g).gamma, 13)
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            ball_density_sequence("triangular", [3])
+    def test_square_radius_three_exact(self):
+        assert ball_density_sequence("square", [3]) == [(3, Fraction(17, 25))]
 
     def test_bounds_bracket(self):
         for kind in TARGETS:
