@@ -253,11 +253,6 @@ class _Discharge:
         return (t, nf, nf + (-(-t // scale) if t > 0 else 0)), two
 
 
-def _residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int) -> int:
-    """Lower bound on the weight any valid completion puts on ``und_mask``."""
-    return _Discharge(adj, attack_n).state(und_mask, two_mask)[2]
-
-
 # ---------------------------------------------------------------------------
 # branch-and-bound oracle
 # ---------------------------------------------------------------------------
@@ -347,11 +342,6 @@ def _seal_scan(adj: list[int], start: int | None = None,
         if width > top:
             top = width
     return order, score, top
-
-
-def _seal_order(adj: list[int]) -> list[int]:
-    """The plain seal order: ``_seal_scan`` with id tie-breaks."""
-    return _seal_scan(adj)[0]
 
 
 def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
@@ -652,6 +642,10 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
         among the remaining candidates (``suf1``), or has two neighbors
         among them (``suf2``; not when one inner is left).  Prune when that
         count is <= best.
+    (e) Per size, again: once best reaches ub(s) while size s is swept, no
+        later set of that size can beat it, so the size ends there and the
+        loop over sizes goes on as in (c).  The DFS unwinds through its
+        return values, so the stack of chosen inners stays in step.
 
     ``nodes`` counts the inner sets that reach the per-set test (b).
     """
@@ -687,13 +681,14 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             best_sol = (imask, assign, pmask)
 
     def sweep(k, need, imask, one, two):
+        """True once best reaches ``cap``, which ends the size (e)."""
         nonlocal nodes
         if need == 1:
             # Last inner: read P(I) of each child off the masks directly.
             base = two & ~imask
             once = one & ~imask
             if (base | once & suf1[k]).bit_count() <= best_score:
-                return
+                return False
             for j in range(k, m):
                 v = cands[j]
                 bit = 1 << v
@@ -701,21 +696,27 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
                 nodes += 1
                 if pmask.bit_count() > best_score:
                     try_set((*chosen, v), imask | bit, pmask)
-            return
+                    if best_score >= cap:
+                        return True
+            return False
         if ((two | one & suf1[k] | suf2[k]) & ~imask).bit_count() <= best_score:
-            return
+            return False
         for j in range(k, m - need + 1):
             v = cands[j]
             a = adj[v]
             both = one & a
             chosen.append(v)
-            sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both)
+            stop = sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both)
             chosen.pop()
+            if stop:
+                return True
+        return False
 
     for s in range(2, len(ub)):
         if best_score >= max(ub[s:]):
             break
-        if ub[s] > best_score:
+        cap = ub[s]
+        if cap > best_score:
             sweep(0, s, 0, 0, 0)
     return best_score, best_sol, nodes
 

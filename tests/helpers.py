@@ -10,7 +10,8 @@ from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import mask_of
 from tworoman.labeling import first_violation
-from tworoman.solver import _Discharge, _min_cost_leaf_assignment, _seal_conflict
+from tworoman.solver import (_Discharge, _min_cost_leaf_assignment, _seal_conflict,
+                             _seal_scan)
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -128,6 +129,17 @@ def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
     return best_score, best_sol, nodes
 
 
+def residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int) -> int:
+    """Lower bound on the weight any valid completion puts on ``und_mask``:
+    the ``solver._Discharge`` state built from scratch."""
+    return _Discharge(adj, attack_n).state(und_mask, two_mask)[2]
+
+
+def seal_order(adj: list[int]) -> list[int]:
+    """The plain seal order: ``solver._seal_scan`` with id tie-breaks."""
+    return _seal_scan(adj)[0]
+
+
 def eccd_set_score(adj: list[int], inners) -> int | None:
     """Centers a packing with exactly these inners can have, or None when the
     inners cannot all get distinct leaves."""
@@ -146,7 +158,7 @@ def bb_gamma_degree_order(adj: list[int], attack_n: int,
                           max_twos: int | None) -> tuple[int, int]:
     """The branch and bound of ``solver._bb_gamma`` over vertices in
     descending-degree order (ties by id), the order it used before
-    ``_seal_order``; returns (gamma, nodes).  The vertex order may change the
+    ``seal_order``; returns (gamma, nodes).  The vertex order may change the
     node count but never gamma.
     """
     n = len(adj)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from helpers import (allepn_labelings, bb_gamma_degree_order, eccd_set_score,
                      eccd_showcase_graph, eccd_sweep_reference, graphs,
                      max_eccd_reference, naive_gamma, naive_minimum_labelings,
-                     naive_valid_labelings, random_graphs, sampled_connected_graphs,
-                     sierpinski_graph)
+                     naive_valid_labelings, random_graphs, residual_bound,
+                     sampled_connected_graphs, seal_order, sierpinski_graph)
 from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
@@ -21,8 +21,8 @@ from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
                              _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
-                             _max_eccd_engine, _min_cost_leaf_assignment, _residual_bound,
-                             _seal_order, _seal_scan, _search, _search_order)
+                             _max_eccd_engine, _min_cost_leaf_assignment, _seal_scan,
+                             _search, _search_order)
 
 
 def fam(kind, *params):
@@ -104,7 +104,7 @@ class TestDischargeBound:
 
     @staticmethod
     def _prefix_orders(adj):
-        return _seal_order(adj), _search_order(adj)[0], list(range(len(adj)))
+        return seal_order(adj), _search_order(adj)[0], list(range(len(adj)))
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
         rng = random.Random(2023)
@@ -130,15 +130,15 @@ class TestDischargeBound:
                             if labels[v] == 2:
                                 twos |= 1 << v
                             assert state == bound.state(und, twos)
-                            assert _residual_bound(adj, attack, und, twos) <= gamma - wgt, (
+                            assert residual_bound(adj, attack, und, twos) <= gamma - wgt, (
                                 n, list(g.edges()), attack, labels, order)
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
         adj = _adj_list(g)
         for attack in (1, 2):
-            assert _residual_bound(adj, attack, 0b1111, 0) == 4
-            assert _residual_bound(adj, attack, 0b1100, 0b0001) == 2
+            assert residual_bound(adj, attack, 0b1111, 0) == 4
+            assert residual_bound(adj, attack, 0b1100, 0b0001) == 2
             assert gamma_bruteforce(g, SolveOptions(attack_n=attack)).gamma == 4
 
     @pytest.mark.parametrize("attack", [1, 2, 3])
@@ -197,7 +197,7 @@ class TestSealOrder:
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
         adj = _adj_list(g)
-        order = _seal_order(adj)
+        order = seal_order(adj)
         assert sorted(order) == list(range(g.order))
         placed = 0
         for v in order:
@@ -212,7 +212,7 @@ class TestSealOrder:
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
         adj = _adj_list(g)
-        order = _seal_order(adj)
+        order = seal_order(adj)
         assert order[0] == 0
         placed = 0
         for v in order:
@@ -317,7 +317,7 @@ class TestSealOrder:
             assert sorted(order) == list(range(g.order))
             assert (score, width) == self._profile(adj, order)
             plain = _seal_scan(adj)
-            assert plain[0] == _seal_order(adj)
+            assert plain[0] == seal_order(adj)
             assert score <= plain[1]
             if order != plain[0]:
                 assert score < plain[1]
@@ -519,10 +519,33 @@ class TestEccdPruning:
     def test_hypothesis_graphs(self, g):
         self._assert_same_as_sweep(g)
 
-    @pytest.mark.parametrize("g", [fam("cycle", 20), fam("grid", 4, 5),
+    @pytest.mark.parametrize("g", [fam("cycle", 20), fam("grid", 4, 5), fam("grid", 3, 7),
                                    tilings.ball_graph("triangular", 2)],
-                             ids=["C20", "grid4x5", "triball2"])
+                             ids=["C20", "grid4x5", "grid3x7", "triball2"])
     def test_bench_graphs(self, g):
+        self._assert_same_as_sweep(g)
+
+    @pytest.mark.parametrize("g", [fam("cycle", 16), fam("grid", 2, 7)],
+                             ids=["C16", "grid2x7"])
+    def test_size_stop_then_larger_size_improves(self, g, monkeypatch):
+        # Rule (e) ends a size as soon as its best set reaches the size bound,
+        # and a larger size then beats that set: the sweep of the larger size
+        # must start from a clean stack of chosen inners.
+        adj = _adj_list(g)
+        ub = _eccd_size_bounds(adj)
+        found_sets = []
+
+        def spying(adj_, inners, imask, pmask, budget, full):
+            found = _min_cost_leaf_assignment(adj_, inners, imask, pmask, budget, full)
+            if found is not None:
+                found_sets.append((len(inners), pmask.bit_count() - found[0]))
+            return found
+
+        monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", spying)
+        _max_eccd_engine(adj)
+        stops = [s for s, score in found_sets if score == ub[s]]
+        assert stops and any(s > stops[0] for s, _ in found_sets), found_sets
+        monkeypatch.undo()
         self._assert_same_as_sweep(g)
 
     def test_size_bound_admissible(self):
@@ -537,8 +560,9 @@ class TestEccdPruning:
                     assert score is None or score <= ub[s], (adj, inners)
 
     def test_c20_work_budget(self, monkeypatch):
-        # Pins that fail when the size bound (c) or the per-set filter (b) is
-        # lost: 28,436 sets and 1,381 leaf assignments with every prune.
+        # Pins that fail when the size bound (c), the per-set filter (b) or
+        # the size stop (e) is lost: 14,814 sets and 353 leaf assignments
+        # with every prune (28,436 and 1,381 without (e)).
         calls = []
 
         def counting(*args):
@@ -548,8 +572,8 @@ class TestEccdPruning:
         monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", counting)
         result = gamma_via_eccd(fam("cycle", 20))
         assert result.gamma == 16
-        assert result.stats.nodes <= 32_000
-        assert len(calls) <= 1_500
+        assert result.stats.nodes <= 16_000
+        assert len(calls) <= 400
 
     def test_pendant_vertices_are_never_inners(self):
         # A path of 10 with a pendant on every vertex: 24 sets reach the
