@@ -112,21 +112,16 @@ def _cmd_optimal(args) -> int:
     parsed = _load(args.file)
     graph = parsed.graph
     verdict, cert = solver.is_optimal(graph)
-    if not verdict:
-        if args.json:
-            print(json.dumps({"optimal": False, "optimal_number": 0,
-                              "certificate": None}, sort_keys=True))
-        else:
-            print("sub-optimal (optimal number 0)")
+    number = graph.order - cert.labeling.weight if verdict else 0
+    path = _ext_ids(graph, cert.path) if verdict else None
+    if args.json:
+        print(json.dumps({"optimal": verdict, "optimal_number": number,
+                          "certificate": path}, sort_keys=True))
+    elif verdict:
+        print(f"optimal (optimal number {number})")
+        print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in path)}")
     else:
-        number = graph.order - cert.labeling.weight
-        path = _ext_ids(graph, cert.path)
-        if args.json:
-            print(json.dumps({"optimal": True, "optimal_number": number,
-                              "certificate": path}, sort_keys=True))
-        else:
-            print(f"optimal (optimal number {number})")
-            print(f"certificate 0-2-0-2-0 path: {'-'.join(str(x) for x in path)}")
+        print("sub-optimal (optimal number 0)")
     if args.dot:
         _emit(graphio.to_dot(graph, cert.labeling if verdict else None), args.dot)
     return 0

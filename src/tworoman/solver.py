@@ -22,7 +22,7 @@ from math import lcm
 
 from . import limits
 from .errors import InvalidEccdError, NotMinimumError, TooLargeError
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, induced_subgraph, iter_bits, mask_of
 from .labeling import Labeling, first_violation, validate
 
 TWO_MODES = ("any", "minimize_twos", "maximize_twos")
@@ -51,8 +51,7 @@ class SolveOptions:
             raise ValueError(f"two_mode must be one of {TWO_MODES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.method == "eccd" and (self.attack_n != 2 or self.max_twos is not None
-                                      or self.two_mode != "any" or self.enumerate_all):
+        if self.method == "eccd" and not self._packing_fits():
             raise ValueError("method 'eccd' needs attack_n == 2, no max_twos, no two_mode"
                              " and no enumerate_all")
         if self.two_mode != "any":
@@ -60,6 +59,11 @@ class SolveOptions:
                 raise ValueError("two_mode requires attack_n == 2")
             if self.max_twos is not None:
                 raise ValueError("two_mode cannot be combined with max_twos")
+
+    def _packing_fits(self) -> bool:
+        """Attack 2, no 2-cap, no two mode, no enumeration: what the packing route answers."""
+        return (self.attack_n == 2 and self.max_twos is None and self.two_mode == "any"
+                and not self.enumerate_all)
 
 
 @dataclass(frozen=True)
@@ -825,17 +829,19 @@ def gamma_via_eccd(graph: Graph) -> SolveResult:
 
 
 def is_optimal(graph: Graph) -> tuple[bool, OptimalityCertificate | None]:
-    """Whether some valid labeling beats the all-1 labeling.
+    """Whether some valid labeling beats the all-1 labeling (gamma < order).
 
-    Decided by whether any end-coupled center-disjoint P5 exists; when it
-    does, the certificate carries one 0-2-0-2-0 path inside the constructed
-    minimum labeling.
+    Read off ``solve(graph)``, so it reaches every order ``solve`` reaches.
+    The certificate is ``find_02020_path`` of ``solve``'s witness minimum
+    labeling; the paper's characterization puts one in every such labeling.
     """
-    eccd = max_eccd(graph)
-    if len(eccd) == 0:
+    result = solve(graph)
+    if result.optimal_number == 0:
         return False, None
-    labeling = eccd_to_labeling(graph, eccd)
-    return True, OptimalityCertificate(eccd.paths[0], labeling)
+    path = find_02020_path(result.labeling)
+    if path is None:
+        raise AssertionError("minimum labeling of an optimal graph has no 0-2-0-2-0 path")
+    return True, OptimalityCertificate(path, result.labeling)
 
 
 def find_02020_path(labeling: Labeling) -> tuple[int, int, int, int, int] | None:
@@ -877,13 +883,11 @@ def two_extremal_minimum(graph: Graph, mode: str,
 
 
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Front door: dispatch on method.  ``auto`` takes the packing route at
-    attack 2 with no 2-cap, no two mode, no enumeration and an order of at
-    most ``_ECCD_MAX_ORDER``, and the branch and bound otherwise."""
+    """Front door: dispatch on method.  ``auto`` takes the packing route when the options
+    fit it and the order is at most ``_ECCD_MAX_ORDER``, the branch and bound otherwise."""
     opts = opts or SolveOptions()
     if opts.method == "eccd" or opts.method == "auto" and (
-            opts.attack_n == 2 and opts.max_twos is None and opts.two_mode == "any"
-            and not opts.enumerate_all and graph.order <= _ECCD_MAX_ORDER):
+            opts._packing_fits() and graph.order <= _ECCD_MAX_ORDER):
         return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 
@@ -941,8 +945,6 @@ def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, d
 
 def strip_ones(graph: Graph, labeling: Labeling) -> tuple[Graph, Labeling]:
     """Induced subgraph on the 0- and 2-labeled vertices, labels carried over."""
-    from .graph import induced_subgraph
-
     _require_minimum(graph, labeling)
     keep = [v for v, lab in enumerate(labeling.labels) if lab != 1]
     sub = induced_subgraph(graph, keep)

@@ -316,11 +316,16 @@ class TestSealOrder:
             order, score, width = _search_order(adj)
             assert sorted(order) == list(range(g.order))
             assert (score, width) == self._profile(adj, order)
+            # The first candidate of lowest score wins: the plain scan, then
+            # the uncapped scans started at the first three minimum-degree
+            # vertices; so the plain scan is kept on a tie.
             plain = _seal_scan(adj)
-            assert plain[0] == seal_order(adj)
-            assert score <= plain[1]
-            if order != plain[0]:
-                assert score < plain[1]
+            low = min((a.bit_count() for a in adj), default=0)
+            starts = [v for v, a in enumerate(adj) if a.bit_count() == low][:3]
+            candidates = [plain] + [_seal_scan(adj, v) for v in starts]
+            assert (order, score, width) == min(candidates, key=lambda c: c[1])
+            if score == plain[1]:
+                assert order == plain[0]
 
     @pytest.mark.parametrize("rows,cols", [(3, 6), (4, 6)])
     def test_transposed_grids_cost_alike(self, rows, cols):
@@ -502,7 +507,8 @@ class TestEccdPruning:
         optimal, cert = is_optimal(g)
         assert optimal == (score > 0)
         if optimal:
-            assert (cert.path, cert.labeling.labels) == (packing.paths[0], labels)
+            assert cert.labeling.labels == labels
+            assert cert.path == find_02020_path(cert.labeling)
         else:
             assert cert is None
 
@@ -663,6 +669,28 @@ class TestIsOptimal:
         for x, y in zip(path, path[1:]):
             assert g.has_edge(x, y)
         assert validate(certificate.labeling, 2).valid
+
+    @pytest.mark.parametrize("g,number", [(fam("cycle", 26), 5), (fam("grid", 5, 5), 8)],
+                             ids=["C26", "grid5x5"])
+    def test_past_the_packing_order_reads_solve(self, g, number, monkeypatch):
+        # Past order 22 solve takes the branch and bound, and so must the
+        # certificate: the packing sweep never runs.
+        sweeps = []
+
+        def spying(adj):
+            sweeps.append(len(adj))
+            return _max_eccd_engine(adj)
+
+        monkeypatch.setattr(solver_module, "_max_eccd_engine", spying)
+        verdict, certificate = is_optimal(g)
+        assert sweeps == []
+        result = solve(g)
+        assert verdict is True and result.optimal_number == number
+        assert certificate.labeling == result.labeling
+        path = certificate.path
+        assert len(set(path)) == 5
+        assert tuple(result.labeling.labels[v] for v in path) == (0, 2, 0, 2, 0)
+        assert all(g.has_edge(x, y) for x, y in zip(path, path[1:]))
 
     def test_matches_gamma_definition(self):
         rng = random.Random(77)
