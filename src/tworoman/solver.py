@@ -27,7 +27,8 @@ from .labeling import Labeling, first_violation, validate
 
 TWO_MODES = ("any", "minimize_twos", "maximize_twos")
 METHODS = ("bruteforce", "eccd", "auto")
-# Largest order at which ``solve``'s ``auto`` takes the packing route.
+# Largest order at which ``solve``'s ``auto`` always takes the packing route;
+# past it ``_packing_pays`` picks the route.
 _ECCD_MAX_ORDER = 22
 
 
@@ -882,12 +883,27 @@ def two_extremal_minimum(graph: Graph, mode: str,
                                                 enumerate_all=enumerate_all))
 
 
+def _packing_pays(adj: list[int]) -> bool:
+    """Whether ``auto`` takes the packing route past ``_ECCD_MAX_ORDER``: when
+    the id order, which the branch and bound's witness pass walks, leaves a
+    frontier wider than 10, or over a third of the vertices have degree <= 1,
+    which the packing sweep never takes as inners.  Cycles, lattice balls and
+    row-major grids with rows of at most 10 meet neither condition, sparse
+    random graphs and trees meet one; both thresholds were fitted on seeded
+    graphs of order 23-30.
+    """
+    reach = [a.bit_length() - 1 for a in adj]  # highest neighbor id
+    width = max(sum(reach[u] > v for u in range(v + 1)) for v in range(len(adj)))
+    return width > 10 or 3 * sum(a.bit_count() <= 1 for a in adj) > len(adj)
+
+
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Front door: dispatch on method.  ``auto`` takes the packing route when the options
-    fit it and the order is at most ``_ECCD_MAX_ORDER``, the branch and bound otherwise."""
+    fit it and the order is at most ``_ECCD_MAX_ORDER`` or ``_packing_pays``, the branch
+    and bound otherwise."""
     opts = opts or SolveOptions()
-    if opts.method == "eccd" or opts.method == "auto" and (
-            opts._packing_fits() and graph.order <= _ECCD_MAX_ORDER):
+    if opts.method == "eccd" or opts.method == "auto" and opts._packing_fits() and (
+            graph.order <= _ECCD_MAX_ORDER or _packing_pays(_adj_list(graph))):
         return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 

@@ -21,8 +21,8 @@ from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
                              _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
-                             _max_eccd_engine, _min_cost_leaf_assignment, _seal_scan,
-                             _search, _search_order)
+                             _max_eccd_engine, _min_cost_leaf_assignment, _packing_pays,
+                             _seal_scan, _search, _search_order)
 
 
 def fam(kind, *params):
@@ -316,16 +316,23 @@ class TestSealOrder:
             order, score, width = _search_order(adj)
             assert sorted(order) == list(range(g.order))
             assert (score, width) == self._profile(adj, order)
-            # The first candidate of lowest score wins: the plain scan, then
-            # the uncapped scans started at the first three minimum-degree
-            # vertices; so the plain scan is kept on a tie.
+            # The plain scan is kept unless a rival scores strictly lower.
             plain = _seal_scan(adj)
+            assert score <= plain[1]
+            if order != plain[0]:
+                assert score < plain[1]
+            # The only rivals are the uncapped scans started at the first
+            # three minimum-degree vertices, and none of them scores lower.
             low = min((a.bit_count() for a in adj), default=0)
             starts = [v for v, a in enumerate(adj) if a.bit_count() == low][:3]
-            candidates = [plain] + [_seal_scan(adj, v) for v in starts]
-            assert (order, score, width) == min(candidates, key=lambda c: c[1])
-            if score == plain[1]:
-                assert order == plain[0]
+            rivals = [_seal_scan(adj, v) for v in starts]
+            assert all(score <= r[1] for r in rivals)
+            assert order == plain[0] or (order, score, width) in rivals
+        # Row-major grid 3x6: the plain scan sweeps the rows of 6, and a
+        # corner start (0, 5 and 12 are the first corners) sweeps the columns.
+        adj = _adj_list(fam("grid", 3, 6))
+        order, _, width = _search_order(adj)
+        assert _seal_scan(adj)[2] == 6 and width == 3 and order[0] in (0, 5, 12)
 
     @pytest.mark.parametrize("rows,cols", [(3, 6), (4, 6)])
     def test_transposed_grids_cost_alike(self, rows, cols):
@@ -862,6 +869,35 @@ class TestSolveDispatch:
         assert solve(fam("cycle", 12)).stats.method == "eccd"
         monkeypatch.setenv("TWO_RD_MAX_ORDER", "42")
         assert solve(fam("cycle", 23)).stats.method == "bruteforce"
+
+    def test_auto_route_past_the_packing_order(self):
+        # Past order 22 the packing route is taken when the id order's
+        # frontier gets wider than 10 or over a third of the vertices have
+        # degree <= 1.
+        rng = random.Random(2323)
+        cases = [_random_graph(rng, rng.randint(23, 30), rng.choice((0.1, 0.2, 0.3)))
+                 for _ in range(20)]
+        cases += [fam("grid", 3, 10), fam("grid", 3, 11), fam("star", 23), fam("cycle", 26)]
+        for g in cases:
+            adj = _adj_list(g)
+            width = TestSealOrder._profile(adj, range(g.order))[1]
+            low = sum(a.bit_count() <= 1 for a in adj)
+            assert _packing_pays(adj) == (width > 10 or 3 * low > g.order)
+        assert not _packing_pays(_adj_list(fam("grid", 3, 10)))  # width 10
+        assert _packing_pays(_adj_list(fam("grid", 3, 11)))  # width 11
+        assert _packing_pays(_adj_list(fam("star", 23)))  # 23 leaves
+        # Path 0-...-15 with leaves 16-23 on 0-6 and 15: 8 of 24 vertices have
+        # degree 1, a third; one more leaf, on 7, makes 9 of 25.
+        comb = [(v, v + 1) for v in range(15)] + [(v, 16 + v) for v in range(7)] + [(15, 23)]
+        assert not _packing_pays(_adj_list(build_graph(24, comb)))
+        assert _packing_pays(_adj_list(build_graph(25, comb + [(7, 24)])))
+        g = _random_graph(random.Random(20), 24, 0.15)
+        result = solve(g)
+        assert result.stats.method == "eccd"
+        packed = gamma_via_eccd(g)
+        assert (result.gamma, result.labeling) == (packed.gamma, packed.labeling)
+        assert is_optimal(g)[1].labeling == result.labeling
+        assert solve(fam("grid", 5, 5)).stats.method == "bruteforce"
 
     def test_auto_falls_back_for_other_attacks(self):
         result = solve(fam("cycle", 5), SolveOptions(attack_n=1))
