@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 
 from . import limits
@@ -651,6 +651,16 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
         later set of that size can beat it, so the size ends there and the
         loop over sizes goes on as in (c).  The DFS unwinds through its
         return values, so the stack of chosen inners stays in step.
+    (f) Per DFS node, by center incidence: each center has at least two
+        inner neighbors, and an inner i meets at most |N(i) - I| - 1 centers,
+        since one of its outside neighbors is its leaf.  So 2 score(I) <=
+        sum over i in I of (|N(i) - I| - 1).  With chosen inners C and
+        ``need`` more to take from ``cands[k:]``, that sum is at most
+        g + top[k][need]: g is the sum over C of (|N(i) - C| - 1), kept
+        on the DFS, and top[k][r] is the sum of the r largest deg - 1 among
+        ``cands[k:]`` (``_eccd_gain_table``).  Prune when half of it is
+        <= best.  On the last level each child is tested with its own g,
+        which is then the exact sum, before its P(I) is built.
 
     ``nodes`` counts the inner sets that reach the per-set test (b).
     """
@@ -661,13 +671,15 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
     full = (1 << n) - 1
     cands = [v for v in range(n) if adj[v].bit_count() >= 2]
     m = len(cands)
+    gain = [adj[v].bit_count() - 1 for v in cands]
+    top = _eccd_gain_table(gain)
     suf1 = [0] * (m + 1)
     suf2 = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         a = adj[cands[k]]
         suf2[k] = suf2[k + 1] | suf1[k + 1] & a
         suf1[k] = suf1[k + 1] | a
-    ub = _eccd_size_bounds(adj)
+    ub = _eccd_size_bounds(adj, top[0])
     best_score = 0
     best_sol = None
     chosen: list[int] = []
@@ -685,9 +697,11 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             best_score = p_count - cost
             best_sol = (imask, assign, pmask)
 
-    def sweep(k, need, imask, one, two):
+    def sweep(k, need, imask, one, two, g):
         """True once best reaches ``cap``, which ends the size (e)."""
         nonlocal nodes
+        if (g + top[k][need]) // 2 <= best_score:
+            return False
         if need == 1:
             # Last inner: read P(I) of each child off the masks directly.
             base = two & ~imask
@@ -696,8 +710,11 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
                 return False
             for j in range(k, m):
                 v = cands[j]
+                a = adj[v]
+                if (g + gain[j] - 2 * (a & imask).bit_count()) // 2 <= best_score:
+                    continue
                 bit = 1 << v
-                pmask = (base | once & adj[v]) & ~bit
+                pmask = (base | once & a) & ~bit
                 nodes += 1
                 if pmask.bit_count() > best_score:
                     try_set((*chosen, v), imask | bit, pmask)
@@ -711,7 +728,8 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             a = adj[v]
             both = one & a
             chosen.append(v)
-            stop = sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both)
+            stop = sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both,
+                         g + gain[j] - 2 * (a & imask).bit_count())
             chosen.pop()
             if stop:
                 return True
@@ -722,21 +740,34 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             break
         cap = ub[s]
         if cap > best_score:
-            sweep(0, s, 0, 0, 0)
+            sweep(0, s, 0, 0, 0, 0)
     return best_score, best_sol, nodes
 
 
-def _eccd_size_bounds(adj: list[int]) -> list[int]:
+def _eccd_gain_table(gain: list[int]) -> list[list[int]]:
+    """top[k][r] = the sum of the r largest of ``gain[k:]``, for r <= len(gain) - k.
+
+    The gains are ranked once; each row sums the ranked gains at index >= k,
+    so building the table costs O(m^2) for m gains.
+    """
+    ranked = sorted(range(len(gain)), key=gain.__getitem__, reverse=True)
+    return [list(accumulate((gain[j] for j in ranked if j >= k), initial=0))
+            for k in range(len(gain) + 1)]
+
+
+def _eccd_size_bounds(adj: list[int], root: list[int] | None = None) -> list[int]:
     """ub[s] >= the score of every inner set of size s, for s <= min(n//2, m),
     m the number of vertices of degree >= 2.
 
     A set of size s has n - 2s vertices left once inners and leaves are
     placed, and each inner i meets at most deg(i) - 1 centers, each center
-    two inners.
+    two inners.  ``root`` is row 0 of ``_eccd_gain_table`` over those
+    vertices, built here when not given.
     """
-    gains = sorted((a.bit_count() - 1 for a in adj if a.bit_count() >= 2), reverse=True)
+    if root is None:
+        root = _eccd_gain_table([a.bit_count() - 1 for a in adj if a.bit_count() >= 2])[0]
     n = len(adj)
-    return [min(n - 2 * s, sum(gains[:s]) // 2) for s in range(min(n // 2, len(gains)) + 1)]
+    return [min(n - 2 * s, root[s] // 2) for s in range(min(n // 2, len(root) - 1) + 1)]
 
 
 def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget, full):

@@ -18,10 +18,11 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
 from tworoman import limits, solver as solver_module, tilings
-from tworoman.graph import iter_bits
+from tworoman.graph import iter_bits, mask_of
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
-                             _eccd_size_bounds, _extremal_twos, _iter_exact_weight,
-                             _max_eccd_engine, _min_cost_leaf_assignment, _packing_pays,
+                             _eccd_gain_table, _eccd_size_bounds, _extremal_twos,
+                             _iter_exact_weight, _max_eccd_engine,
+                             _min_cost_leaf_assignment, _packing_pays,
                              _seal_scan, _search, _search_order)
 
 
@@ -572,10 +573,32 @@ class TestEccdPruning:
                     score = eccd_set_score(adj, inners)
                     assert score is None or score <= ub[s], (adj, inners)
 
-    def test_c20_work_budget(self, monkeypatch):
-        # Pins that fail when the size bound (c), the per-set filter (b) or
-        # the size stop (e) is lost: 14,814 sets and 353 leaf assignments
-        # with every prune (28,436 and 1,381 without (e)).
+    def test_incidence_bound_admissible(self):
+        # Rule (f): 2 score(I) <= sum over I of (|N(i) - I| - 1), and every
+        # prefix of I in candidate order bounds that sum by g + top[k][r].
+        rng = random.Random(405)
+        for _ in range(60):
+            n = rng.randint(5, 9)
+            adj = _adj_list(_random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))))
+            cands = [v for v in range(n) if adj[v].bit_count() >= 2]
+            top = _eccd_gain_table([adj[v].bit_count() - 1 for v in cands])
+            for s in range(2, min(n // 2, len(cands)) + 1):
+                for picks in combinations(range(len(cands)), s):
+                    inners = [cands[j] for j in picks]
+                    score = eccd_set_score(adj, inners)
+                    if score is None:
+                        continue
+                    imask = mask_of(inners)
+                    total = sum((adj[i] & ~imask).bit_count() - 1 for i in inners)
+                    assert score <= total // 2, (adj, inners)
+                    for t in range(s + 1):
+                        cmask = mask_of(inners[:t])
+                        g = sum((adj[i] & ~cmask).bit_count() - 1 for i in inners[:t])
+                        k = picks[t - 1] + 1 if t else 0
+                        assert (g + top[k][s - t]) // 2 >= score, (adj, inners, t)
+
+    @staticmethod
+    def _count_work(monkeypatch, g):
         calls = []
 
         def counting(*args):
@@ -583,10 +606,32 @@ class TestEccdPruning:
             return _min_cost_leaf_assignment(*args)
 
         monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", counting)
-        result = gamma_via_eccd(fam("cycle", 20))
+        result = gamma_via_eccd(g)
+        return result, len(calls)
+
+    def test_c20_work_budget(self, monkeypatch):
+        # Pins that fail when the incidence bound (f) or the per-set filter
+        # (b) is lost: 339 sets and 93 leaf assignments with every prune,
+        # 14,814 and 353 without (f), 304 leaf assignments without (b).
+        result, calls = self._count_work(monkeypatch, fam("cycle", 20))
         assert result.gamma == 16
-        assert result.stats.nodes <= 16_000
-        assert len(calls) <= 400
+        assert result.stats.nodes <= 500
+        assert calls <= 120
+
+    @pytest.mark.parametrize("g,gamma,max_sets,max_calls",
+                             [(fam("grid", 4, 5), 14, 1_000, 400),
+                              (fam("grid", 4, 6), 16, 7_800, 3_300)],
+                             ids=["grid4x5", "grid4x6"])
+    def test_grid_work_budget(self, g, gamma, max_sets, max_calls, monkeypatch):
+        # The size bound (c) stays far above the best score on grids, so the
+        # incidence bound (f) does the cutting: grid 4x5 takes 782 sets and
+        # 300 leaf assignments (23,891 and 917 without (f)), grid 4x6 7,549
+        # and 3,120 (332,569 and 12,881 without (f); 8,145 and 3,481 without
+        # the size stop (e)).
+        result, calls = self._count_work(monkeypatch, g)
+        assert result.gamma == gamma
+        assert result.stats.nodes <= max_sets
+        assert calls <= max_calls
 
     def test_pendant_vertices_are_never_inners(self):
         # A path of 10 with a pendant on every vertex: 24 sets reach the
