@@ -518,14 +518,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     pass in the optimum order first pins the window.  ``opts.enumerate_all``
     checks the enumeration limit before any search and makes that id-order
     pass list every minimum labeling; the witness is then the first one
-    listed in the window.  Measured on one core of a 2-vCPU Xeon with
-    Python 3.11: C24 takes 0.003 s; grid 4x5, grid 5x5, grid 4x6, the square
-    ball of radius 3 (25 vertices) and the triangular ball of radius 2 (19
-    vertices) take 0.01-0.1 s each; grid 6x6, grid 5x7 and the triangular
-    ball of radius 3 (37 vertices) take 1.6-2.8 s each.  Grid 4x8 takes
-    0.97 s: 0.25 s for the optimum pass (48 k nodes; 4 M with the plain seal
-    order, which sweeps its rows of 8) and the rest for the id-order witness
-    pass, which still walks those rows.
+    listed in the window.
     """
     opts = opts or SolveOptions()
     if opts.enumerate_all:
@@ -637,21 +630,17 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
     (b) Per set: skip when |P(I)| <= best, or when some inner has no
         neighbor outside I or none in P(I).  Dropping that inner gives a
         smaller set, swept earlier, that keeps every center and leaf.
-    (c) Per size: ub(s) = min(n - 2s, floor(sum of the s largest deg-1 / 2))
-        (``_eccd_size_bounds``), since each center takes two inner neighbors
-        and each inner spends one neighbor on its leaf.  Sizes with
-        ub(s) <= best are skipped, and the sweep stops once best >= ub(s')
-        for every s' >= s.
+    (c) Room: a set of size s places s inners and their s leaves, so at most
+        n - 2s vertices are left for centers.  Sizes with n - 2s <= best end
+        the sweep; within a size, a DFS node is cut once best reaches n - 2s,
+        and the last level returns after the set that lifts best to it.
     (d) Per DFS node: every later center is outside I and ends with two
         neighbors in I, so it is in ``two``, in ``one`` with a neighbor
         among the remaining candidates (``suf1``), or has two neighbors
         among them (``suf2``; not when one inner is left).  Prune when that
-        count is <= best.
-    (e) Per size, again: once best reaches ub(s) while size s is swept, no
-        later set of that size can beat it, so the size ends there and the
-        loop over sizes goes on as in (c).  The DFS unwinds through its
-        return values, so the stack of chosen inners stays in step.
-    (f) Per DFS node, by center incidence: each center has at least two
+        count is <= best.  It cuts interior nodes on sparse graphs, where
+        (e) is loose.
+    (e) Per DFS node, by center incidence: each center has at least two
         inner neighbors, and an inner i meets at most |N(i) - I| - 1 centers,
         since one of its outside neighbors is its leaf.  So 2 score(I) <=
         sum over i in I of (|N(i) - I| - 1).  With chosen inners C and
@@ -660,7 +649,9 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
         on the DFS, and top[k][r] is the sum of the r largest deg - 1 among
         ``cands[k:]`` (``_eccd_gain_table``).  Prune when half of it is
         <= best.  On the last level each child is tested with its own g,
-        which is then the exact sum, before its P(I) is built.
+        which is then the exact sum, before its P(I) is built.  Every node
+        of size s has g + top[k][need] <= top[0][s], so (e) also holds the
+        whole size to top[0][s] // 2.
 
     ``nodes`` counts the inner sets that reach the per-set test (b).
     """
@@ -679,7 +670,6 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
         a = adj[cands[k]]
         suf2[k] = suf2[k + 1] | suf1[k + 1] & a
         suf1[k] = suf1[k + 1] | a
-    ub = _eccd_size_bounds(adj, top[0])
     best_score = 0
     best_sol = None
     chosen: list[int] = []
@@ -698,16 +688,15 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             best_sol = (imask, assign, pmask)
 
     def sweep(k, need, imask, one, two, g):
-        """True once best reaches ``cap``, which ends the size (e)."""
         nonlocal nodes
-        if (g + top[k][need]) // 2 <= best_score:
-            return False
+        if best_score >= room or (g + top[k][need]) // 2 <= best_score:
+            return
         if need == 1:
             # Last inner: read P(I) of each child off the masks directly.
             base = two & ~imask
             once = one & ~imask
             if (base | once & suf1[k]).bit_count() <= best_score:
-                return False
+                return
             for j in range(k, m):
                 v = cands[j]
                 a = adj[v]
@@ -718,29 +707,25 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
                 nodes += 1
                 if pmask.bit_count() > best_score:
                     try_set((*chosen, v), imask | bit, pmask)
-                    if best_score >= cap:
-                        return True
-            return False
+                    if best_score >= room:
+                        return
+            return
         if ((two | one & suf1[k] | suf2[k]) & ~imask).bit_count() <= best_score:
-            return False
+            return
         for j in range(k, m - need + 1):
             v = cands[j]
             a = adj[v]
             both = one & a
             chosen.append(v)
-            stop = sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both,
-                         g + gain[j] - 2 * (a & imask).bit_count())
+            sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both,
+                  g + gain[j] - 2 * (a & imask).bit_count())
             chosen.pop()
-            if stop:
-                return True
-        return False
 
-    for s in range(2, len(ub)):
-        if best_score >= max(ub[s:]):
+    for s in range(2, min(n // 2, m) + 1):
+        room = n - 2 * s
+        if room <= best_score:
             break
-        cap = ub[s]
-        if cap > best_score:
-            sweep(0, s, 0, 0, 0, 0)
+        sweep(0, s, 0, 0, 0, 0)
     return best_score, best_sol, nodes
 
 
@@ -753,21 +738,6 @@ def _eccd_gain_table(gain: list[int]) -> list[list[int]]:
     ranked = sorted(range(len(gain)), key=gain.__getitem__, reverse=True)
     return [list(accumulate((gain[j] for j in ranked if j >= k), initial=0))
             for k in range(len(gain) + 1)]
-
-
-def _eccd_size_bounds(adj: list[int], root: list[int] | None = None) -> list[int]:
-    """ub[s] >= the score of every inner set of size s, for s <= min(n//2, m),
-    m the number of vertices of degree >= 2.
-
-    A set of size s has n - 2s vertices left once inners and leaves are
-    placed, and each inner i meets at most deg(i) - 1 centers, each center
-    two inners.  ``root`` is row 0 of ``_eccd_gain_table`` over those
-    vertices, built here when not given.
-    """
-    if root is None:
-        root = _eccd_gain_table([a.bit_count() - 1 for a in adj if a.bit_count() >= 2])[0]
-    n = len(adj)
-    return [min(n - 2 * s, root[s] // 2) for s in range(min(n // 2, len(root) - 1) + 1)]
 
 
 def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget, full):

@@ -20,7 +20,7 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
 from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of
 from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
-                             _eccd_gain_table, _eccd_size_bounds, _extremal_twos,
+                             _eccd_gain_table, _extremal_twos,
                              _iter_exact_weight, _max_eccd_engine,
                              _min_cost_leaf_assignment, _packing_pays,
                              _seal_scan, _search, _search_order)
@@ -533,49 +533,17 @@ class TestEccdPruning:
     def test_hypothesis_graphs(self, g):
         self._assert_same_as_sweep(g)
 
-    @pytest.mark.parametrize("g", [fam("cycle", 20), fam("grid", 4, 5), fam("grid", 3, 7),
+    @pytest.mark.parametrize("g", [fam("cycle", 16), fam("cycle", 20), fam("grid", 2, 7),
+                                   fam("grid", 4, 5), fam("grid", 3, 7),
                                    tilings.ball_graph("triangular", 2)],
-                             ids=["C20", "grid4x5", "grid3x7", "triball2"])
+                             ids=["C16", "C20", "grid2x7", "grid4x5", "grid3x7", "triball2"])
     def test_bench_graphs(self, g):
         self._assert_same_as_sweep(g)
 
-    @pytest.mark.parametrize("g", [fam("cycle", 16), fam("grid", 2, 7)],
-                             ids=["C16", "grid2x7"])
-    def test_size_stop_then_larger_size_improves(self, g, monkeypatch):
-        # Rule (e) ends a size as soon as its best set reaches the size bound,
-        # and a larger size then beats that set: the sweep of the larger size
-        # must start from a clean stack of chosen inners.
-        adj = _adj_list(g)
-        ub = _eccd_size_bounds(adj)
-        found_sets = []
-
-        def spying(adj_, inners, imask, pmask, budget, full):
-            found = _min_cost_leaf_assignment(adj_, inners, imask, pmask, budget, full)
-            if found is not None:
-                found_sets.append((len(inners), pmask.bit_count() - found[0]))
-            return found
-
-        monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", spying)
-        _max_eccd_engine(adj)
-        stops = [s for s, score in found_sets if score == ub[s]]
-        assert stops and any(s > stops[0] for s, _ in found_sets), found_sets
-        monkeypatch.undo()
-        self._assert_same_as_sweep(g)
-
-    def test_size_bound_admissible(self):
-        rng = random.Random(404)
-        for _ in range(60):
-            n = rng.randint(5, 9)
-            adj = _adj_list(_random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))))
-            ub = _eccd_size_bounds(adj)
-            for s in range(2, len(ub)):
-                for inners in combinations(range(n), s):
-                    score = eccd_set_score(adj, inners)
-                    assert score is None or score <= ub[s], (adj, inners)
-
     def test_incidence_bound_admissible(self):
-        # Rule (f): 2 score(I) <= sum over I of (|N(i) - I| - 1), and every
+        # Rule (e): 2 score(I) <= sum over I of (|N(i) - I| - 1), and every
         # prefix of I in candidate order bounds that sum by g + top[k][r].
+        # Rule (c): score(I) <= n - 2|I|.
         rng = random.Random(405)
         for _ in range(60):
             n = rng.randint(5, 9)
@@ -591,6 +559,7 @@ class TestEccdPruning:
                     imask = mask_of(inners)
                     total = sum((adj[i] & ~imask).bit_count() - 1 for i in inners)
                     assert score <= total // 2, (adj, inners)
+                    assert score <= n - 2 * s, (adj, inners)
                     for t in range(s + 1):
                         cmask = mask_of(inners[:t])
                         g = sum((adj[i] & ~cmask).bit_count() - 1 for i in inners[:t])
@@ -610,9 +579,9 @@ class TestEccdPruning:
         return result, len(calls)
 
     def test_c20_work_budget(self, monkeypatch):
-        # Pins that fail when the incidence bound (f) or the per-set filter
+        # Pins that fail when the incidence bound (e) or the per-set filter
         # (b) is lost: 339 sets and 93 leaf assignments with every prune,
-        # 14,814 and 353 without (f), 304 leaf assignments without (b).
+        # 14,814 and 353 without (e), 304 leaf assignments without (b).
         result, calls = self._count_work(monkeypatch, fam("cycle", 20))
         assert result.gamma == 16
         assert result.stats.nodes <= 500
@@ -623,15 +592,22 @@ class TestEccdPruning:
                               (fam("grid", 4, 6), 16, 7_800, 3_300)],
                              ids=["grid4x5", "grid4x6"])
     def test_grid_work_budget(self, g, gamma, max_sets, max_calls, monkeypatch):
-        # The size bound (c) stays far above the best score on grids, so the
-        # incidence bound (f) does the cutting: grid 4x5 takes 782 sets and
-        # 300 leaf assignments (23,891 and 917 without (f)), grid 4x6 7,549
-        # and 3,120 (332,569 and 12,881 without (f); 8,145 and 3,481 without
-        # the size stop (e)).
+        # The incidence bound (e) does the cutting on grids: grid 4x5 takes
+        # 782 sets and 300 leaf assignments (23,891 and 917 without (e)),
+        # grid 4x6 7,549 and 3,120 (332,569 and 12,881 without (e); 8,145
+        # and 3,481 without the room test (c) inside a size).
         result, calls = self._count_work(monkeypatch, g)
         assert result.gamma == gamma
         assert result.stats.nodes <= max_sets
         assert calls <= max_calls
+
+    def test_room_stop(self):
+        # K12 reaches the room n - 2s = 8 with its first set of size 2:
+        # 1 set reaches the per-set test, 66 without the room test (c)
+        # inside a size.
+        result = gamma_via_eccd(fam("complete", 12))
+        assert result.gamma == 4
+        assert result.stats.nodes <= 5
 
     def test_pendant_vertices_are_never_inners(self):
         # A path of 10 with a pendant on every vertex: 24 sets reach the
