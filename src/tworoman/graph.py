@@ -1,11 +1,15 @@
-"""Immutable simple-graph representation with bitset adjacency.
+"""Immutable simple-graph representation: neighbor tuples plus bitmasks.
 
 Internal vertex ids are contiguous 0..order-1.  Every graph additionally
 carries a bijective map to external ids (the numbering used in input files);
 for graphs built directly in code the two numberings coincide.  Adjacency is
-stored as one Python int bitmask per vertex, which keeps the solver hot loops
-(neighborhood intersections) down to a couple of machine-word operations per
-word of vertices.
+stored as one sorted tuple of neighbor ids per vertex, which is what file
+output, DOT export and the traversals here read.  The solver and the
+validators work on one Python int bitmask per vertex, which keeps their hot
+loops (neighborhood intersections) down to a couple of machine-word
+operations per word of vertices; those masks are built once, the first time
+they are asked for, so a large graph that is only read and written never
+pays for them.
 """
 
 from __future__ import annotations
@@ -31,16 +35,28 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _sorted_mask(vertices: tuple[int, ...]) -> int:
+    """``mask_of`` for a sorted tuple: the bits are set relative to the
+    smallest id and shifted once, so each step works on a small int."""
+    if not vertices:
+        return 0
+    low = vertices[0]
+    m = 0
+    for v in vertices:
+        m |= 1 << (v - low)
+    return m << low
+
+
 class Graph:
     """Finite simple undirected graph, immutable after construction."""
 
-    __slots__ = ("order", "_adj", "_ext", "_int_of")
+    __slots__ = ("order", "_nbrs", "_masks", "_ext", "_int_of")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]],
                  external_ids: Iterable[int] | None = None):
         if order < 0:
             raise OutOfRangeError(order)
-        adj = [0] * order
+        adj = [set() for _ in range(order)]
         for u, v in edges:
             if not (0 <= u < order):
                 raise OutOfRangeError(u)
@@ -48,24 +64,34 @@ class Graph:
                 raise OutOfRangeError(v)
             if u == v:
                 raise SelfLoopError(u)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.order = order
-        self._adj = tuple(adj)
+            adj[u].add(v)
+            adj[v].add(u)
         ext = tuple(external_ids) if external_ids is not None else tuple(range(order))
         if len(ext) != order or len(set(ext)) != order:
             raise ValueError("external_ids must be a bijection onto internal ids")
-        self._ext = ext
-        self._int_of = {e: i for i, e in enumerate(ext)}
+        self._set(tuple(tuple(sorted(s)) for s in adj), None, ext)
+
+    def _set(self, nbrs: tuple[tuple[int, ...], ...], masks: tuple[int, ...] | None,
+             ext: tuple[int, ...] | None) -> None:
+        self.order = len(nbrs)
+        self._nbrs = nbrs
+        self._masks = masks
+        self._ext = ext if ext is not None else tuple(range(len(nbrs)))
+        self._int_of = {e: i for i, e in enumerate(self._ext)}
+
+    @classmethod
+    def _from_neighbors(cls, nbrs: tuple[tuple[int, ...], ...],
+                        external_ids: tuple[int, ...] | None = None) -> "Graph":
+        """Trusted constructor for symmetric loop-free sorted neighbor tuples."""
+        g = object.__new__(cls)
+        g._set(nbrs, None, external_ids)
+        return g
 
     @classmethod
     def _from_masks(cls, adj: list[int], external_ids: tuple[int, ...] | None = None) -> "Graph":
         """Trusted constructor for already-symmetric loop-free adjacency masks."""
         g = object.__new__(cls)
-        g.order = len(adj)
-        g._adj = tuple(adj)
-        g._ext = external_ids if external_ids is not None else tuple(range(len(adj)))
-        g._int_of = {e: i for i, e in enumerate(g._ext)}
+        g._set(tuple(tuple(iter_bits(m)) for m in adj), tuple(adj), external_ids)
         return g
 
     # -- vertex / edge access -------------------------------------------------
@@ -73,25 +99,36 @@ class Graph:
     def vertices(self) -> range:
         return range(self.order)
 
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """One bitmask per vertex, built on the first call and kept."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = tuple(map(_sorted_mask, self._nbrs))
+        return masks
+
     def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
+        masks = self._masks
+        if masks is None:
+            masks = self.adjacency_masks()
+        return masks[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._adj[v]))
+        return self._nbrs[v]
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return v in self._nbrs[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.order):
-            for v in iter_bits(self._adj[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        for u, nbrs in enumerate(self._nbrs):
+            for v in nbrs:
+                if v > u:
+                    yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return sum(map(len, self._nbrs)) // 2
 
     # -- external ids ----------------------------------------------------------
 
@@ -109,10 +146,10 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.order == other.order
-                and self._adj == other._adj and self._ext == other._ext)
+                and self._nbrs == other._nbrs and self._ext == other._ext)
 
     def __hash__(self) -> int:
-        return hash((self.order, self._adj, self._ext))
+        return hash((self.order, self._nbrs, self._ext))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count()})"
@@ -126,15 +163,15 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]],
 
 def open_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """All vertices outside the set adjacent to at least one member of it."""
-    smask = 0
+    members = set()
     for v in vertices:
         if not (0 <= v < graph.order):
             raise OutOfRangeError(v)
-        smask |= 1 << v
-    nmask = 0
-    for v in iter_bits(smask):
-        nmask |= graph.adjacency_mask(v)
-    return frozenset(iter_bits(nmask & ~smask))
+        members.add(v)
+    out = set()
+    for v in members:
+        out.update(graph._nbrs[v])
+    return frozenset(out - members)
 
 
 def ball(graph: Graph, center: int, radius: int) -> Graph:
@@ -147,37 +184,33 @@ def ball(graph: Graph, center: int, radius: int) -> Graph:
         raise OutOfRangeError(center)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen = 1 << center
-    frontier = seen
+    seen = {center}
+    frontier = {center}
     for _ in range(radius):
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= graph.adjacency_mask(v)
-        frontier = grown & ~seen
+        grown = set()
+        for v in frontier:
+            grown.update(graph._nbrs[v])
+        frontier = grown - seen
         if not frontier:
             break
         seen |= frontier
-    return induced_subgraph(graph, iter_bits(seen))
+    return induced_subgraph(graph, seen)
 
 
 def max_degree(graph: Graph) -> int:
     if graph.order == 0:
         raise EmptyGraphError("max_degree of an empty graph")
-    return max(m.bit_count() for m in graph._adj)
+    return max(map(len, graph._nbrs))
 
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     """Graph on ``keep`` with all edges among kept vertices; external ids kept."""
-    kmask = 0
+    members = set()
     for v in keep:
         if not (0 <= v < graph.order):
             raise OutOfRangeError(v)
-        kmask |= 1 << v
-    kept = list(iter_bits(kmask))
+        members.add(v)
+    kept = sorted(members)
     index = {v: i for i, v in enumerate(kept)}
-    adj = [0] * len(kept)
-    for v in kept:
-        for u in iter_bits(graph.adjacency_mask(v) & kmask):
-            adj[index[v]] |= 1 << index[u]
-    ext = tuple(graph.external_id(v) for v in kept)
-    return Graph._from_masks(adj, ext)
+    nbrs = tuple(tuple(index[u] for u in graph._nbrs[v] if u in index) for v in kept)
+    return Graph._from_neighbors(nbrs, tuple(graph._ext[v] for v in kept))

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (DuplicateVertexError, MixedLabelsError, ParseError,
                      UnknownNeighborError)
-from .graph import Graph, build_graph
+from .graph import Graph
 from .labeling import Labeling, epn_set, partition, public_set
 
 _VALID_LABELS = (-1, 0, 1, 2)
@@ -38,58 +39,96 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"bad {what}: {token!r}") from None
 
 
-def parse_graph_file(text: str) -> ParseResult:
-    records = []  # (ext_id, label, [neighbor ids]) in file order
-    seen = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(";")
-        if len(fields) != 3:
-            raise ParseError(line_no, f"expected 'id;label;adjacencies', got {line!r}")
-        ext = _parse_int(fields[0], line_no, "vertex id")
-        if ext < 0:
-            raise ParseError(line_no, f"vertex id must be >= 0: {ext}")
-        label = _parse_int(fields[1], line_no, "label")
-        if label not in _VALID_LABELS:
-            raise ParseError(line_no, f"label out of range: {label}")
-        adj_field = fields[2].strip()
-        neighbors = []
-        if adj_field:
-            for token in adj_field.split(","):
-                nb = _parse_int(token, line_no, "neighbor id")
-                if nb < 0:
-                    raise ParseError(line_no, f"neighbor id must be >= 0: {nb}")
-                neighbors.append(nb)
-        if ext in seen:
-            raise DuplicateVertexError(ext)
-        seen.add(ext)
-        records.append((ext, label, neighbors, line_no))
+def _quick_record(line: str) -> tuple[int, int, list[int]] | None:
+    """(id, label, neighbor ids) of a well-formed record, else None.
 
-    ids = [ext for ext, _, _, _ in records]
-    index = {ext: i for i, ext in enumerate(ids)}
-    listed = [set() for _ in records]
-    for ext, _, neighbors, line_no in records:
+    ``int`` skips the same surrounding whitespace as ``str.strip``, so a
+    record this accepts reads the same through ``_parse_record``."""
+    try:
+        f_id, f_label, f_adj = line.split(";")
+        ext, label = int(f_id), int(f_label)
+        neighbors = list(map(int, f_adj.split(","))) if f_adj else []
+    except ValueError:
+        return None
+    if ext < 0 or label not in _VALID_LABELS or (neighbors and min(neighbors) < 0):
+        return None
+    return ext, label, neighbors
+
+
+def _parse_record(line: str, line_no: int) -> tuple[int, int, list[int]]:
+    """Field-by-field parse that names the first bad field or token."""
+    fields = line.split(";")
+    if len(fields) != 3:
+        raise ParseError(line_no, f"expected 'id;label;adjacencies', got {line!r}")
+    ext = _parse_int(fields[0], line_no, "vertex id")
+    if ext < 0:
+        raise ParseError(line_no, f"vertex id must be >= 0: {ext}")
+    label = _parse_int(fields[1], line_no, "label")
+    if label not in _VALID_LABELS:
+        raise ParseError(line_no, f"label out of range: {label}")
+    adj_field = fields[2].strip()
+    neighbors = []
+    if adj_field:
+        for token in adj_field.split(","):
+            nb = _parse_int(token, line_no, "neighbor id")
+            if nb < 0:
+                raise ParseError(line_no, f"neighbor id must be >= 0: {nb}")
+            neighbors.append(nb)
+    return ext, label, neighbors
+
+
+def _check_mentions(ids: tuple[int, ...], records: list[tuple[list[int], int]],
+                    index: dict[int, int]) -> list[set[int]]:
+    """Mention-by-mention form of the listed sets, in file order: the first
+    self-mention or unknown id raises."""
+    listed = []
+    for ext, (neighbors, line_no) in zip(ids, records):
+        row = set()
         for nb in neighbors:
             if nb == ext:
                 raise ParseError(line_no, f"vertex {ext} lists itself as a neighbor")
             if nb not in index:
                 raise UnknownNeighborError(nb)
-            listed[index[ext]].add(index[nb])
+            row.add(index[nb])
+        listed.append(row)
+    return listed
 
+
+def parse_graph_file(text: str) -> ParseResult:
+    index = {}  # external id -> internal id, in file order
+    labels = []
+    records = []  # ([neighbor ids], line_no) in file order
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        ext, label, neighbors = _quick_record(line) or _parse_record(line, line_no)
+        if ext in index:
+            raise DuplicateVertexError(ext)
+        index[ext] = len(records)
+        labels.append(label)
+        records.append((neighbors, line_no))
+
+    # Internal ids each record lists, in one pass; the checking form runs
+    # only when that pass meets an unknown id or a self-mention.
+    ids = tuple(index)
+    try:
+        listed = [{index[nb] for nb in neighbors} for neighbors, _ in records]
+    except KeyError:
+        listed = None
+    if listed is None or any(i in row for i, row in enumerate(listed)):
+        listed = _check_mentions(ids, records, index)
+
+    # Symmetrize: each one-sided mention u -> v adds v -> u with a warning,
+    # in the order (u, then v) of the records.
+    one_sided = sorted((u, v) for u, row in enumerate(listed)
+                       for v in row if u not in listed[v])
     warnings = []
-    edges = []
-    for u in range(len(records)):
-        for v in sorted(listed[u]):
-            if u not in listed[v]:
-                warnings.append(
-                    f"vertex {ids[u]} lists {ids[v]} but not vice versa; edge kept")
-            if u < v or u not in listed[v]:
-                edges.append((u, v))
+    for u, v in one_sided:
+        listed[v].add(u)
+        warnings.append(f"vertex {ids[u]} lists {ids[v]} but not vice versa; edge kept")
 
-    graph = build_graph(len(records), edges, external_ids=ids)
-    labels = [label for _, label, _, _ in records]
+    graph = Graph._from_neighbors(tuple(tuple(sorted(row)) for row in listed), ids)
     labeling = None
     if labels and all(lab == -1 for lab in labels):
         labeling = None
@@ -100,15 +139,22 @@ def parse_graph_file(text: str) -> ParseResult:
     return ParseResult(graph, labeling, tuple(warnings))
 
 
+def _id_order(ext: tuple[int, ...]) -> Callable[[int], int] | None:
+    """Sort key putting internal ids in external-id order, or None when the
+    external ids already increase with the internal ones."""
+    return None if all(a < b for a, b in zip(ext, ext[1:])) else ext.__getitem__
+
+
 def write_graph_file(graph: Graph, labeling: Labeling | None = None) -> str:
     """Canonical text form: records sorted by external id, sorted adjacency."""
-    order = sorted(range(graph.order), key=graph.external_id)
+    ext = graph.external_ids
+    key = _id_order(ext)
+    names = list(map(str, ext))
+    labels = labeling.labels if labeling is not None else (-1,) * graph.order
     lines = []
-    for v in order:
-        lab = labeling.labels[v] if labeling is not None else -1
-        nbs = ",".join(str(graph.external_id(u)) for u in
-                       sorted(graph.neighbors(v), key=graph.external_id))
-        lines.append(f"{graph.external_id(v)};{lab};{nbs}")
+    for v in sorted(range(graph.order), key=key):
+        nbrs = graph.neighbors(v) if key is None else sorted(graph.neighbors(v), key=key)
+        lines.append(f"{names[v]};{labels[v]};{','.join([names[u] for u in nbrs])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -138,16 +184,16 @@ _FILL = {0: "#ffffff", 1: "#bdbdbd", 2: "#4a4a4a", None: "#e8e8e8"}
 
 
 def to_dot(graph: Graph, labeling: Labeling | None = None) -> str:
+    ext = graph.external_ids
     lines = ["graph G {", "  node [style=filled];"]
-    for v in sorted(range(graph.order), key=graph.external_id):
-        ext = graph.external_id(v)
+    for v in sorted(range(graph.order), key=ext.__getitem__):
         lab = labeling.labels[v] if labeling is not None else None
-        text = f"{ext}" if lab is None else f"{ext}:{lab}"
+        text = f"{ext[v]}" if lab is None else f"{ext[v]}:{lab}"
         font = ' fontcolor="#ffffff"' if lab == 2 else ""
-        lines.append(f'  "{ext}" [label="{text}" fillcolor="{_FILL[lab]}"{font}];')
+        lines.append(f'  "{ext[v]}" [label="{text}" fillcolor="{_FILL[lab]}"{font}];')
     for u, v in graph.edges():
-        a, b = sorted((graph.external_id(u), graph.external_id(v)))
-        lines.append(f'  "{a}" -- "{b}";')
+        a, b = ext[u], ext[v]
+        lines.append(f'  "{a}" -- "{b}";' if a < b else f'  "{b}" -- "{a}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

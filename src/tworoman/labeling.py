@@ -4,13 +4,14 @@ A labeling is valid for attack number n when every set S of j <= n vertices
 labeled 0 has at least j vertices labeled 2 in its open neighborhood.  For
 n=1 this is the classical Roman domination condition; for n=2 there is a
 linear-time characterization (see ``validate``), and for larger n we fall
-back to subset enumeration.
+back to subset enumeration, over the 0s that Hall's condition leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .graph import Graph, iter_bits
 
@@ -85,7 +86,7 @@ def public_set(labeling: Labeling) -> frozenset[int]:
     return frozenset(out)
 
 
-def first_violation(adj: list[int], labels, attack_n: int) -> tuple[int, ...] | None:
+def first_violation(adj: Sequence[int], labels, attack_n: int) -> tuple[int, ...] | None:
     """First set of 0-vertices that breaks the ``attack_n`` condition, or None.
 
     ``adj`` holds the adjacency masks and ``labels`` the label vector.  Sets
@@ -95,7 +96,8 @@ def first_violation(adj: list[int], labels, attack_n: int) -> tuple[int, ...] | 
     only way two 0s that each have a 2-neighbor can see fewer than two 2s).
     Scanning the 0s in id order, a pair is kept when its first member is
     smaller than the kept one's, so the kept pair is lexicographically first.
-    Sizes 3 and up enumerate subsets.
+    Sizes j >= 3 enumerate the j-subsets of the 0s with fewer than j
+    2-neighbors (Hall's condition).
     """
     two_mask = 0
     zeros = []
@@ -112,13 +114,21 @@ def first_violation(adj: list[int], labels, attack_n: int) -> tuple[int, ...] | 
         if t == 0:
             return (v,)
         if use_pairs and t & (t - 1) == 0:
-            u = first.setdefault(t, v)
+            # keyed by the bit's position: hashing t costs its length
+            u = first.setdefault(t.bit_length(), v)
             if u != v and (pair is None or u < pair[0]):
                 pair = (u, v)
     if pair is not None:
         return pair
+    if attack_n < 3:
+        return None
+    # Hall filter: a j-set of 0s that sees fewer than j 2s has no member that
+    # sees j or more, so only 0s with fewer than j 2-neighbors can be in one.
+    # The filtered subsets keep their lexicographic order.
+    twos = [(adj[v] & two_mask).bit_count() for v in zeros]
     for j in range(3, attack_n + 1):
-        hit = _first_violation_of_size(adj, zeros, two_mask, j)
+        short = [v for v, t in zip(zeros, twos) if t < j]
+        hit = _first_violation_of_size(adj, short, two_mask, j)
         if hit is not None:
             return hit
     return None
@@ -134,9 +144,7 @@ def validate(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
     """
     if attack_n < 1:
         raise ValueError("attack_n must be >= 1")
-    g = labeling.graph
-    adj = [g.adjacency_mask(v) for v in range(g.order)]
-    witness = first_violation(adj, labeling.labels, attack_n)
+    witness = first_violation(labeling.graph.adjacency_masks(), labeling.labels, attack_n)
     return ValidationReport(witness is None, attack_n, witness)
 
 
@@ -157,8 +165,7 @@ def validate_by_enumeration(labeling: Labeling, attack_n: int = 2) -> Validation
     must agree with."""
     if attack_n < 1:
         raise ValueError("attack_n must be >= 1")
-    g = labeling.graph
-    adj = [g.adjacency_mask(v) for v in range(g.order)]
+    adj = labeling.graph.adjacency_masks()
     two_mask = labeling.label_mask(2)
     zeros = [v for v, lab in enumerate(labeling.labels) if lab == 0]
     for j in range(1, attack_n + 1):

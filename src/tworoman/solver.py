@@ -126,7 +126,7 @@ class OptimalityCertificate:
 
 
 def _adj_list(graph: Graph) -> list[int]:
-    return [graph.adjacency_mask(v) for v in range(graph.order)]
+    return list(graph.adjacency_masks())
 
 
 def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eccd_showcase_graph, graphs
-from tworoman import (EmptyGraphError, FamilySpec, OutOfRangeError, SelfLoopError,
-                      ball, build_graph, generate, induced_subgraph, max_degree,
-                      open_neighborhood)
+from helpers import eccd_showcase_graph, graphs, random_graphs
+from tworoman import (EmptyGraphError, FamilySpec, Graph, OutOfRangeError, PatchSpec,
+                      SelfLoopError, assign_private_neighbors, ball, build_graph,
+                      generate, generate_patch, induced_subgraph, max_degree,
+                      open_neighborhood, solve)
+from tworoman.graph import iter_bits
 
 
 class TestBuildGraph:
@@ -151,3 +153,85 @@ def test_ball_monotone_in_radius(g, r):
 def test_open_neighborhood_disjoint_from_set(g, raw):
     s = {v for v in raw if v < g.order}
     assert not (open_neighborhood(g, s) & s)
+
+
+# -- invariants of every construction route ------------------------------------
+
+
+def _showcase_private():
+    g = eccd_showcase_graph()
+    return assign_private_neighbors(g, solve(g).labeling)[0]
+
+
+def _grid_private():
+    g = generate(FamilySpec("grid", (3, 4)))
+    return assign_private_neighbors(g, solve(g).labeling)[0]
+
+
+CONSTRUCTIONS = {
+    "Graph": lambda: Graph(5, [(3, 1), (0, 4), (4, 1), (1, 3), (2, 0)],
+                           external_ids=[9, 4, 7, 0, 2]),
+    "build_graph": lambda: build_graph(6, [(5, 0), (0, 1), (2, 4), (1, 0)]),
+    "from_masks_showcase": _showcase_private,
+    "from_masks_grid": _grid_private,
+    "induced_subgraph": lambda: induced_subgraph(eccd_showcase_graph(), [9, 2, 7, 4, 8, 0]),
+    "ball": lambda: ball(generate(FamilySpec("grid", (5, 5))), 12, 2),
+    "family_complete_bipartite": lambda: generate(FamilySpec("complete_bipartite", (3, 4))),
+    "family_cycle": lambda: generate(FamilySpec("cycle", (9,))),
+    "patch_triangular_torus": lambda: generate_patch(
+        PatchSpec("triangular", 6, 5, "torus")).graph,
+    "patch_hexagonal_open": lambda: generate_patch(
+        PatchSpec("hexagonal", 5, 4, "open")).graph,
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_neighbor_tuples_agree_with_masks(build):
+    g = build()
+    masks = [g.adjacency_mask(v) for v in g.vertices()]
+    for v in g.vertices():
+        nbrs = g.neighbors(v)
+        assert list(nbrs) == sorted(nbrs)
+        assert nbrs == tuple(iter_bits(masks[v]))
+        assert g.degree(v) == masks[v].bit_count()
+    # the mask-walking order: u ascending, then v > u ascending
+    assert list(g.edges()) == [(u, v) for u in g.vertices()
+                               for v in iter_bits(masks[u] >> (u + 1) << (u + 1))]
+    assert g.edge_count() == sum(m.bit_count() for m in masks) // 2
+    for u in g.vertices():
+        for v in g.vertices():
+            assert g.has_edge(u, v) == bool(masks[u] >> v & 1)
+    if g.order:
+        assert max_degree(g) == max(m.bit_count() for m in masks)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_two_constructions_are_equal(build):
+    g = build()
+    fresh = build()  # its masks are not built yet
+    edges = list(g.edges())
+    rebuilt = [
+        fresh,
+        Graph(g.order, edges, g.external_ids),
+        build_graph(g.order, [(v, u) for u, v in reversed(edges)], g.external_ids),
+        Graph._from_masks([g.adjacency_mask(v) for v in g.vertices()], g.external_ids),
+    ]
+    for other in rebuilt:
+        assert other == g and hash(other) == hash(g)
+    if g.external_ids != tuple(range(g.order)):
+        assert Graph(g.order, edges) != g  # external ids take part in equality
+
+
+def test_masks_are_built_once():
+    g = generate(FamilySpec("grid", (4, 4)))
+    masks = g.adjacency_masks()
+    assert g.adjacency_masks() is masks
+    assert [g.adjacency_mask(v) for v in g.vertices()] == list(masks)
+
+
+def test_random_graphs_roundtrip_through_masks():
+    for g in random_graphs(30, seed=1515):
+        masks = list(g.adjacency_masks())
+        assert Graph._from_masks(masks) == g
+        assert [g.neighbors(v) for v in g.vertices()] == [
+            tuple(iter_bits(m)) for m in masks]

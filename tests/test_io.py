@@ -1,12 +1,15 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tworoman import (DuplicateVertexError, FamilySpec, Labeling, MixedLabelsError,
-                      ParseError, UnknownNeighborError, build_graph, generate,
-                      parse_graph_file, to_dot, write_graph_file, write_labeling)
+                      ParseError, PatchSpec, UnknownNeighborError, build_graph,
+                      find_pattern, generate, generate_patch, parse_graph_file,
+                      pattern_labeling, to_dot, write_graph_file, write_labeling)
 
 
 class TestParse:
@@ -75,6 +78,104 @@ class TestParse:
         parsed = parse_graph_file("0;-1;1\n1;-1;2\n2;-1;")
         assert len(parsed.warnings) == 2
         assert parsed.graph.edge_count() == 2
+
+
+class TestParseContract:
+    """Exact error and warning texts, including which error a file raises
+    first when it holds several."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("0;-1;1\n1;-1;0,x\n", ParseError, "line 2: bad neighbor id: 'x'"),
+        ("0;-1;1\n1;-1;0,-3\n", ParseError, "line 2: neighbor id must be >= 0: -3"),
+        ("0;-1;-2,x\n", ParseError, "line 1: neighbor id must be >= 0: -2"),
+        ("0;-1;x,-2\n", ParseError, "line 1: bad neighbor id: 'x'"),
+        ("0;-1;1, ,2\n1;-1;0\n2;-1;0\n", ParseError, "line 1: bad neighbor id: ''"),
+        ("0;-1;1,,2\n1;-1;0\n2;-1;0\n", ParseError, "line 1: bad neighbor id: ''"),
+        ("x;-1;\n", ParseError, "line 1: bad vertex id: 'x'"),
+        ("-1;x;\n", ParseError, "line 1: vertex id must be >= 0: -1"),
+        ("0;x;\n", ParseError, "line 1: bad label: 'x'"),
+        ("0;1\n", ParseError, "line 1: expected 'id;label;adjacencies', got '0;1'"),
+        # a self-mention before an unknown id on one line, and the reverse
+        ("0;-1;1\n1;-1;0,1,7\n", ParseError, "line 2: vertex 1 lists itself as a neighbor"),
+        ("0;-1;1\n1;-1;7,1\n", UnknownNeighborError, "unknown neighbor id: 7"),
+        # mentions are checked in file order, after every line has parsed
+        ("0;-1;9\n1;-1;1\n", UnknownNeighborError, "unknown neighbor id: 9"),
+        ("0;-1;9\n1;-1;x\n", ParseError, "line 2: bad neighbor id: 'x'"),
+        ("0;-1;\n0;-1;x\n", ParseError, "line 2: bad neighbor id: 'x'"),
+        ("0;-1;\n0;-1;1\n", DuplicateVertexError, "duplicate vertex record: 0"),
+    ])
+    def test_error_text(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_graph_file(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_whitespace_inside_tokens(self):
+        parsed = parse_graph_file("0;-1; 1 , 2 \n1;-1;0\n2;-1; 0\n")
+        assert list(parsed.graph.edges()) == [(0, 1), (0, 2)]
+        assert parsed.warnings == ()
+
+    def test_repeated_mention_is_one_edge(self):
+        parsed = parse_graph_file("0;-1;1,1\n1;-1;0\n")
+        assert parsed.graph.edge_count() == 1 and parsed.warnings == ()
+
+    def test_two_one_sided_mentions_warning_text(self):
+        parsed = parse_graph_file("0;-1;1\n1;-1;2\n2;-1;\n")
+        assert parsed.warnings == (
+            "vertex 0 lists 1 but not vice versa; edge kept",
+            "vertex 1 lists 2 but not vice versa; edge kept",
+        )
+
+    def test_one_sided_warnings_follow_record_order(self):
+        parsed = parse_graph_file("7;-1;3,5\n3;-1;\n5;-1;3\n")
+        assert parsed.warnings == (
+            "vertex 7 lists 3 but not vice versa; edge kept",
+            "vertex 7 lists 5 but not vice versa; edge kept",
+            "vertex 5 lists 3 but not vice versa; edge kept",
+        )
+        assert write_graph_file(parsed.graph) == "3;-1;5,7\n5;-1;3,7\n7;-1;3,5\n"
+
+
+def _pattern_torus(kind, width, height):
+    patch = generate_patch(PatchSpec(kind, width, height, "torus"))
+    return patch.graph, pattern_labeling(find_pattern(kind), patch)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Output bytes of large pattern-labeled tori, pinned before the graph
+    store moved from bitmasks to neighbor tuples."""
+
+    @pytest.mark.parametrize("kind, width, height, write_sha, dot_sha", [
+        ("triangular", 36, 36,
+         "37427ac9566cccb8a23572a06e801caaaf37a1bdcbe85b42dadd97288ae88309",
+         "a6c0f23f472332e4c7ab9a8a8de70e631d994f69e856a0240783e018907bd76b"),
+        ("square", 42, 42,
+         "ff507b8f01dd2ba658683abdb5e7ff1f5ee0fda6f1e63bf03eb112394281631c",
+         "fc4993ae5aa710a6bdc62721ef2a7f0fef12a27a39ed6495612052c7bfcd6c79"),
+    ])
+    def test_pattern_torus(self, kind, width, height, write_sha, dot_sha):
+        g, lab = _pattern_torus(kind, width, height)
+        text = write_graph_file(g, lab)
+        assert _sha(text) == write_sha
+        assert _sha(to_dot(g, lab)) == dot_sha
+        parsed = parse_graph_file(text)
+        assert parsed.graph == g and parsed.labeling.labels == lab.labels
+
+    def test_shuffled_external_ids(self):
+        # external ids out of internal order take the sorting path
+        g, lab = _pattern_torus("square", 14, 14)
+        ext = list(range(g.order))
+        random.Random(15).shuffle(ext)
+        shuffled = build_graph(g.order, list(g.edges()), external_ids=ext)
+        lab = Labeling(shuffled, lab.labels)
+        assert _sha(write_graph_file(shuffled, lab)) == (
+            "5013646c82c948dd6cb76b1fdd3cffd50ce546ea82fce8c10a71d49c6e49526c")
+        assert _sha(to_dot(shuffled, lab)) == (
+            "dfbcc9e5312999992f8e8ce7ebe998daa52f1631f8ecece4e5e70ee090384e3f")
 
 
 class TestWrite:

@@ -1,13 +1,15 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import allepn_labelings, fig1_star_labeled
+from helpers import allepn_labelings, fig1_star_labeled, random_graphs
 from tworoman import (FamilySpec, Labeling, build_graph, epn_set, generate,
                       partition, public_set, validate, validate_by_enumeration,
                       weight)
+from tworoman import labeling as labeling_module
 from tworoman.labeling import first_violation
 
 
@@ -199,3 +201,64 @@ def test_downward_closure(lab, attack):
     if validate(lab, attack).valid:
         for m in range(1, attack + 1):
             assert validate(lab, m).valid
+
+
+# -- Hall filter for sizes j >= 3 ------------------------------------------------
+
+
+def _seeded_labelings():
+    """The digest corpus's labelings: four seeded label vectors per graph."""
+    rng = random.Random(7008)
+    for g in random_graphs(60, seed=7007, orders=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+                           probabilities=(0.25, 0.4, 0.6, 0.85)):
+        for _ in range(4):
+            yield Labeling(g, tuple(rng.choice((0, 1, 2)) for _ in range(g.order)))
+
+
+@pytest.mark.parametrize("attack", [3, 4])
+def test_hall_filter_matches_enumeration_on_seeded_labelings(attack):
+    for lab in _seeded_labelings():
+        assert validate(lab, attack) == validate_by_enumeration(lab, attack)
+
+
+def _record_candidates(monkeypatch):
+    """Record the 0s handed to the subset enumeration at each size."""
+    seen = {}
+    inner = labeling_module._first_violation_of_size
+
+    def spy(adj, zeros, two_mask, j):
+        seen[j] = list(zeros)
+        return inner(adj, zeros, two_mask, j)
+
+    monkeypatch.setattr(labeling_module, "_first_violation_of_size", spy)
+    return seen
+
+
+def test_hall_filter_leaves_no_candidates_on_hubs(monkeypatch):
+    # every 0 sees three 2-labeled hubs, so no set of three 0s can see fewer
+    rng = random.Random(3)
+    hubs, zeros = 5, 30
+    edges = [(h, hubs + i) for i in range(zeros) for h in rng.sample(range(hubs), 3)]
+    g = build_graph(hubs + zeros, edges)
+    lab = Labeling(g, (2,) * hubs + (0,) * zeros)
+    seen = _record_candidates(monkeypatch)
+    assert validate(lab, 3).valid
+    assert seen == {3: []}
+    assert validate_by_enumeration(lab, 3).valid
+
+
+def test_hall_filter_keeps_the_first_violator(monkeypatch):
+    # 0s 0 and 1 see the three 2s at 5, 6, 7 and are filtered out at size 3;
+    # 0s 2, 3, 4 see only the 2s at 8 and 9, so (2, 3, 4) is the first
+    # violating triple, although subset enumeration meets (0, 1, 2) first
+    edges = [(z, t) for z in (0, 1) for t in (5, 6, 7)]
+    edges += [(z, t) for z in (2, 3, 4) for t in (8, 9)]
+    g = build_graph(10, edges)
+    lab = Labeling(g, (0, 0, 0, 0, 0, 2, 2, 2, 2, 2))
+    assert validate(lab, 2).valid
+    seen = _record_candidates(monkeypatch)
+    report = validate(lab, 3)
+    assert seen == {3: [2, 3, 4]}
+    assert report.witness == (2, 3, 4)
+    assert validate(lab, 4).witness == (2, 3, 4)
+    assert validate_by_enumeration(lab, 3) == report
