@@ -105,7 +105,9 @@ def density(graph: Graph) -> Fraction:
 
 
 def density_lower_bound(max_degree: int) -> Fraction:
-    """4/(max degree + 3); every graph's density sits at or above this."""
+    """min(1, 4/(max degree + 3)); every graph's density sits at or above
+    this.  The cap only acts at max degree 0, where every vertex needs its
+    own 1 and the density is exactly 1."""
     if max_degree < 0:
         raise BadSpecError("max_degree must be >= 0")
-    return Fraction(4, max_degree + 3)
+    return min(Fraction(1), Fraction(4, max_degree + 3))

@@ -69,13 +69,12 @@ class Graph:
         ext = tuple(external_ids) if external_ids is not None else tuple(range(order))
         if len(ext) != order or len(set(ext)) != order:
             raise ValueError("external_ids must be a bijection onto internal ids")
-        self._set(tuple(tuple(sorted(s)) for s in adj), None, ext)
+        self._set(tuple(tuple(sorted(s)) for s in adj), ext)
 
-    def _set(self, nbrs: tuple[tuple[int, ...], ...], masks: tuple[int, ...] | None,
-             ext: tuple[int, ...] | None) -> None:
+    def _set(self, nbrs: tuple[tuple[int, ...], ...], ext: tuple[int, ...] | None) -> None:
         self.order = len(nbrs)
         self._nbrs = nbrs
-        self._masks = masks
+        self._masks = None
         self._ext = ext if ext is not None else tuple(range(len(nbrs)))
         self._int_of = {e: i for i, e in enumerate(self._ext)}
 
@@ -84,14 +83,7 @@ class Graph:
                         external_ids: tuple[int, ...] | None = None) -> "Graph":
         """Trusted constructor for symmetric loop-free sorted neighbor tuples."""
         g = object.__new__(cls)
-        g._set(nbrs, None, external_ids)
-        return g
-
-    @classmethod
-    def _from_masks(cls, adj: list[int], external_ids: tuple[int, ...] | None = None) -> "Graph":
-        """Trusted constructor for already-symmetric loop-free adjacency masks."""
-        g = object.__new__(cls)
-        g._set(tuple(tuple(iter_bits(m)) for m in adj), tuple(adj), external_ids)
+        g._set(nbrs, external_ids)
         return g
 
     # -- vertex / edge access -------------------------------------------------

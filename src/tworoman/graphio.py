@@ -8,13 +8,17 @@ Labels are -1 (unlabeled), 0, 1 or 2; a file must be uniformly labeled or
 uniformly unlabeled.  The adjacency field may be empty.  Blank lines and
 lines starting with ``#`` are ignored.  One-sided adjacency mentions are
 symmetrized with a warning.
+
+Parsing is one pass: each record is read with ``split`` and ``int``, all
+mentions are mapped to internal ids at once, and the graph is symmetrized
+once.  A bad record or mention is read again only to name the first fault.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .errors import (DuplicateVertexError, MixedLabelsError, ParseError,
                      UnknownNeighborError)
@@ -39,25 +43,23 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"bad {what}: {token!r}") from None
 
 
-def _quick_record(line: str) -> tuple[int, int, list[int]] | None:
-    """(id, label, neighbor ids) of a well-formed record, else None.
+def _parse_record(line: str, line_no: int) -> tuple[int, int, list[int]]:
+    """(id, label, neighbor ids) of one record.
 
-    ``int`` skips the same surrounding whitespace as ``str.strip``, so a
-    record this accepts reads the same through ``_parse_record``."""
+    A well-formed record is read with ``split`` and ``int`` alone.  Any other
+    record is read again field by field, id, then label, then neighbors, to
+    name the first bad field or token; ``int`` skips the same surrounding
+    whitespace as ``str.strip``, so both reads agree on every token.
+    """
+    fields = line.split(";")
     try:
-        f_id, f_label, f_adj = line.split(";")
+        f_id, f_label, f_adj = fields
         ext, label = int(f_id), int(f_label)
         neighbors = list(map(int, f_adj.split(","))) if f_adj else []
+        if ext >= 0 and label in _VALID_LABELS and not (neighbors and min(neighbors) < 0):
+            return ext, label, neighbors
     except ValueError:
-        return None
-    if ext < 0 or label not in _VALID_LABELS or (neighbors and min(neighbors) < 0):
-        return None
-    return ext, label, neighbors
-
-
-def _parse_record(line: str, line_no: int) -> tuple[int, int, list[int]]:
-    """Field-by-field parse that names the first bad field or token."""
-    fields = line.split(";")
+        pass
     if len(fields) != 3:
         raise ParseError(line_no, f"expected 'id;label;adjacencies', got {line!r}")
     ext = _parse_int(fields[0], line_no, "vertex id")
@@ -66,32 +68,25 @@ def _parse_record(line: str, line_no: int) -> tuple[int, int, list[int]]:
     label = _parse_int(fields[1], line_no, "label")
     if label not in _VALID_LABELS:
         raise ParseError(line_no, f"label out of range: {label}")
-    adj_field = fields[2].strip()
-    neighbors = []
-    if adj_field:
-        for token in adj_field.split(","):
-            nb = _parse_int(token, line_no, "neighbor id")
-            if nb < 0:
-                raise ParseError(line_no, f"neighbor id must be >= 0: {nb}")
-            neighbors.append(nb)
-    return ext, label, neighbors
+    # Only the neighbor field is left to fail: a token that is no integer
+    # raises in ``_parse_int``, else the first negative one is named.
+    for token in fields[2].split(","):
+        nb = _parse_int(token, line_no, "neighbor id")
+        if nb < 0:
+            break
+    raise ParseError(line_no, f"neighbor id must be >= 0: {nb}")
 
 
-def _check_mentions(ids: tuple[int, ...], records: list[tuple[list[int], int]],
-                    index: dict[int, int]) -> list[set[int]]:
-    """Mention-by-mention form of the listed sets, in file order: the first
-    self-mention or unknown id raises."""
-    listed = []
+def _raise_first_bad_mention(ids: tuple[int, ...], records: list[tuple[list[int], int]],
+                             index: dict[int, int]) -> NoReturn:
+    """Raise for the first self-mention or unknown id, in file order; called
+    only when the records hold one."""
     for ext, (neighbors, line_no) in zip(ids, records):
-        row = set()
         for nb in neighbors:
             if nb == ext:
                 raise ParseError(line_no, f"vertex {ext} lists itself as a neighbor")
             if nb not in index:
                 raise UnknownNeighborError(nb)
-            row.add(index[nb])
-        listed.append(row)
-    return listed
 
 
 def parse_graph_file(text: str) -> ParseResult:
@@ -102,22 +97,22 @@ def parse_graph_file(text: str) -> ParseResult:
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        ext, label, neighbors = _quick_record(line) or _parse_record(line, line_no)
+        ext, label, neighbors = _parse_record(line, line_no)
         if ext in index:
             raise DuplicateVertexError(ext)
         index[ext] = len(records)
         labels.append(label)
         records.append((neighbors, line_no))
 
-    # Internal ids each record lists, in one pass; the checking form runs
-    # only when that pass meets an unknown id or a self-mention.
+    # Internal ids each record lists, in one pass; an unknown id or a
+    # self-mention is looked up again only to name the first one.
     ids = tuple(index)
     try:
         listed = [{index[nb] for nb in neighbors} for neighbors, _ in records]
     except KeyError:
         listed = None
     if listed is None or any(i in row for i, row in enumerate(listed)):
-        listed = _check_mentions(ids, records, index)
+        _raise_first_bad_mention(ids, records, index)
 
     # Symmetrize: each one-sided mention u -> v adds v -> u with a warning,
     # in the order (u, then v) of the records.

@@ -15,6 +15,7 @@ other; neither consults the other's answer.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
@@ -426,8 +427,15 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
             if not running:
                 return
 
+    # One frame per labeled vertex: lift the interpreter's depth limit by
+    # the order for the search, so a path or cycle of any order can recurse.
     full = (1 << n) - 1
-    rec(0, 0, 0, full, 0, 0, bound.state(full))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        rec(0, 0, 0, full, 0, 0, bound.state(full))
+    finally:
+        sys.setrecursionlimit(limit)
     return nodes
 
 
@@ -659,7 +667,6 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
     nodes = 0
     if n < 5:
         return 0, None, nodes
-    full = (1 << n) - 1
     cands = [v for v in range(n) if adj[v].bit_count() >= 2]
     m = len(cands)
     gain = [adj[v].bit_count() - 1 for v in cands]
@@ -681,7 +688,7 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
             if adj[i] & ~imask == 0 or adj[i] & pmask == 0:
                 return
         found = _min_cost_leaf_assignment(
-            adj, inners, imask, pmask, p_count - best_score, full)
+            adj, inners, imask, pmask, p_count - best_score)
         if found is not None:
             cost, assign = found
             best_score = p_count - cost
@@ -740,10 +747,10 @@ def _eccd_gain_table(gain: list[int]) -> list[list[int]]:
             for k in range(len(gain) + 1)]
 
 
-def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget, full):
+def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget):
     """Distinct leaves for all inners using fewer than ``budget`` potential
     centers; returns (cost, {inner: leaf}) or None."""
-    order = sorted(inners, key=lambda i: (adj[i] & ~imask & full).bit_count())
+    order = sorted(inners, key=lambda i: (adj[i] & ~imask).bit_count())
     best_cost = budget
     best_assign = None
     assign: dict[int, int] = {}
@@ -757,7 +764,7 @@ def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget, full):
             best_assign = dict(assign)
             return
         i = order[k]
-        opts = adj[i] & ~imask & ~used & full
+        opts = adj[i] & ~imask & ~used
         for extra, pool in ((0, opts & ~pmask), (1, opts & pmask)):
             m = pool
             while m:
@@ -894,7 +901,16 @@ def _packing_pays(adj: list[int]) -> bool:
     graphs of order 23-30.
     """
     reach = [a.bit_length() - 1 for a in adj]  # highest neighbor id
-    width = max(sum(reach[u] > v for u in range(v + 1)) for v in range(len(adj)))
+    # Frontier at v: the u <= v with reach[u] > v.  Sweep v up, adding v when
+    # its reach is above it and dropping the earlier u whose reach ends at v.
+    ends = [0] * len(adj)
+    for u, r in enumerate(reach):
+        if r > u:
+            ends[r] += 1
+    live = width = 0
+    for v, r in enumerate(reach):
+        live += (r > v) - ends[v]
+        width = max(width, live)
     return width > 10 or 3 * sum(a.bit_count() <= 1 for a in adj) > len(adj)
 
 
@@ -956,7 +972,7 @@ def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, d
         for w in iter_bits(cut):
             adj[w] &= ~(1 << v_i)
         matching[t_i] = v_i
-    sub = Graph._from_masks(adj, graph.external_ids)
+    sub = Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in adj), graph.external_ids)
     return sub, matching
 
 

@@ -286,9 +286,10 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
 def ball_density_bounds(kind: str, radii) -> list[tuple[int, Fraction, Fraction]]:
     """(radius, lower, upper) density bounds for lattice balls of any size.
 
-    Lower bound: 4/(max degree of the ball + 3).  Upper bound: the built-in
-    periodic pattern restricted to the ball, repaired to validity by raising
-    offending 0s to 1; its density is achievable, hence an upper bound.
+    Lower bound: ``density_lower_bound`` of the ball's max degree.  Upper
+    bound: the built-in periodic pattern restricted to the ball, repaired to
+    validity by raising offending 0s to 1, or the all-1 labeling when that is
+    lighter; both are achievable, hence upper bounds.
     """
     pattern = find_pattern(kind)
     out = []
@@ -306,6 +307,6 @@ def ball_density_bounds(kind: str, radii) -> list[tuple[int, Fraction, Fraction]
             labels[bump] = 1
             labeling = Labeling(sub, tuple(labels))
         lower = density_lower_bound(max_degree(sub))
-        upper = Fraction(labeling.weight, sub.order)
+        upper = min(Fraction(labeling.weight, sub.order), Fraction(1))
         out.append((radius, lower, upper))
     return out

@@ -120,7 +120,7 @@ def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
             if p_count <= best_score:
                 continue
             found = _min_cost_leaf_assignment(
-                adj, inners, imask, pmask, p_count - best_score, full)
+                adj, inners, imask, pmask, p_count - best_score)
             if found is None:
                 continue
             cost, assign = found
@@ -143,14 +143,13 @@ def seal_order(adj: list[int]) -> list[int]:
 def eccd_set_score(adj: list[int], inners) -> int | None:
     """Centers a packing with exactly these inners can have, or None when the
     inners cannot all get distinct leaves."""
-    full = (1 << len(adj)) - 1
     imask = mask_of(inners)
     pmask = 0
     for v in range(len(adj)):
         if not imask >> v & 1 and (adj[v] & imask).bit_count() >= 2:
             pmask |= 1 << v
     p_count = pmask.bit_count()
-    found = _min_cost_leaf_assignment(adj, tuple(inners), imask, pmask, p_count + 1, full)
+    found = _min_cost_leaf_assignment(adj, tuple(inners), imask, pmask, p_count + 1)
     return None if found is None else p_count - found[0]
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tworoman import parse_graph_file
+from tworoman import FamilySpec, generate, parse_graph_file, write_graph_file
 from tworoman.cli import cli_main
 
 
@@ -56,6 +56,13 @@ class TestSolve:
         assert doc["stats"]["nodes"] > 0
         assert doc["stats"]["method"] == "eccd"
         assert doc["stats"]["frontier_width"] is None
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_order_past_recursion_limit(self, capsys, tmp_path, kind):
+        path = tmp_path / "g.txt"
+        path.write_text(write_graph_file(generate(FamilySpec(kind, (1200,)))))
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        assert code == 0 and json.loads(out)["gamma"] == 960
 
     def test_json_frontier_width(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),

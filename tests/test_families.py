@@ -99,6 +99,7 @@ class TestDensityLowerBound:
         (3, Fraction(2, 3)),
         (4, Fraction(4, 7)),
         (6, Fraction(4, 9)),
+        (0, Fraction(1)),
     ])
     def test_values(self, delta, expected):
         assert density_lower_bound(delta) == expected

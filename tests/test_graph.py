@@ -214,7 +214,8 @@ def test_two_constructions_are_equal(build):
         fresh,
         Graph(g.order, edges, g.external_ids),
         build_graph(g.order, [(v, u) for u, v in reversed(edges)], g.external_ids),
-        Graph._from_masks([g.adjacency_mask(v) for v in g.vertices()], g.external_ids),
+        Graph._from_neighbors(tuple(tuple(iter_bits(g.adjacency_mask(v))) for v in g.vertices()),
+                              g.external_ids),
     ]
     for other in rebuilt:
         assert other == g and hash(other) == hash(g)
@@ -232,6 +233,6 @@ def test_masks_are_built_once():
 def test_random_graphs_roundtrip_through_masks():
     for g in random_graphs(30, seed=1515):
         masks = list(g.adjacency_masks())
-        assert Graph._from_masks(masks) == g
+        assert Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in masks)) == g
         assert [g.neighbors(v) for v in g.vertices()] == [
             tuple(iter_bits(m)) for m in masks]

@@ -95,11 +95,18 @@ class TestParseContract:
         ("-1;x;\n", ParseError, "line 1: vertex id must be >= 0: -1"),
         ("0;x;\n", ParseError, "line 1: bad label: 'x'"),
         ("0;1\n", ParseError, "line 1: expected 'id;label;adjacencies', got '0;1'"),
+        ("0;-1;1;\n", ParseError,
+         "line 1: expected 'id;label;adjacencies', got '0;-1;1;'"),
+        # fields are read in the order id, label, neighbors
+        ("0;5;x\n", ParseError, "line 1: label out of range: 5"),
+        ("x;5;1\n", ParseError, "line 1: bad vertex id: 'x'"),
+        ("0;-1;1,x,-2\n1;-1;0\n", ParseError, "line 1: bad neighbor id: 'x'"),
         # a self-mention before an unknown id on one line, and the reverse
         ("0;-1;1\n1;-1;0,1,7\n", ParseError, "line 2: vertex 1 lists itself as a neighbor"),
         ("0;-1;1\n1;-1;7,1\n", UnknownNeighborError, "unknown neighbor id: 7"),
         # mentions are checked in file order, after every line has parsed
         ("0;-1;9\n1;-1;1\n", UnknownNeighborError, "unknown neighbor id: 9"),
+        ("0;-1;9,0\n", UnknownNeighborError, "unknown neighbor id: 9"),
         ("0;-1;9\n1;-1;x\n", ParseError, "line 2: bad neighbor id: 'x'"),
         ("0;-1;\n0;-1;x\n", ParseError, "line 2: bad neighbor id: 'x'"),
         ("0;-1;\n0;-1;1\n", DuplicateVertexError, "duplicate vertex record: 0"),

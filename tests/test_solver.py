@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -186,6 +187,16 @@ class TestSearchCore:
         first = _search(adj, 2, range(10), (0, 1, 2), None, gamma,
                         lambda labels, wgt, twos: leaves.append(tuple(labels)))
         assert len(leaves) == 1 and first < every
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_recursion_past_the_interpreter_limit(self, kind):
+        # The search recurses once per vertex; order 1200 is past the
+        # default depth limit of 1000, which it restores on return.
+        limit = sys.getrecursionlimit()
+        result = solve(fam(kind, 1200))
+        assert result.stats.method == "bruteforce" and result.gamma == 960
+        assert validate(result.labeling, 2).valid
+        assert sys.getrecursionlimit() == limit
 
 
 class TestSealOrder:
@@ -919,6 +930,24 @@ class TestSolveDispatch:
         assert (result.gamma, result.labeling) == (packed.gamma, packed.labeling)
         assert is_optimal(g)[1].labeling == result.labeling
         assert solve(fam("grid", 5, 5)).stats.method == "bruteforce"
+
+    def test_packing_width_sweep_matches_quadratic_count(self):
+        # The id-order width, as the count over all prefixes: the route
+        # decision matches it on both sides of the width-10 threshold.
+        rng = random.Random(1616)
+        sides = set()
+        for _ in range(300):
+            n = rng.randint(23, 40)
+            g = _random_graph(rng, n, rng.choice((0.05, 0.1, 0.15, 0.2, 0.3)))
+            adj = _adj_list(g)
+            reach = [a.bit_length() - 1 for a in adj]
+            width = max(sum(reach[u] > v for u in range(v + 1)) for v in range(n))
+            low = sum(a.bit_count() <= 1 for a in adj)
+            want = width > 10 or 3 * low > n
+            assert _packing_pays(adj) == want
+            if 3 * low <= n:
+                sides.add(want)
+        assert sides == {False, True}
 
     def test_auto_falls_back_for_other_attacks(self):
         result = solve(fam("cycle", 5), SolveOptions(attack_n=1))

@@ -203,6 +203,12 @@ class TestBallDensities:
         (_, exact), = ball_density_sequence("square", [2])
         assert lower <= exact <= upper
 
+    def test_radius_zero_bounds_are_exact(self):
+        # A single vertex has density 1, so both bounds must equal it.
+        for kind in TARGETS:
+            (_, exact), = ball_density_sequence(kind, [0])
+            assert ball_density_bounds(kind, [0]) == [(0, exact, exact)] == [(0, 1, 1)]
+
     def test_bounds_lower_matches_ball_degree(self):
         (radius, lower, _), = ball_density_bounds("square", [4])
         assert lower == Fraction(4, max_degree(ball_graph("square", 4)) + 3)
