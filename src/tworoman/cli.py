@@ -2,15 +2,19 @@
 
 Exit codes: 0 success (or valid labeling), 1 invalid labeling, 2 usage or
 parse errors.
+
+Each command imports the solver, family and tiling modules it runs inside its
+own function, so ``validate`` and ``gen`` never load the solver.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
-from . import families, graphio, limits, solver, tilings
+from . import graphio, limits
 from .errors import BadSpecError, TwoRomanError
 from .labeling import validate
 
@@ -65,6 +69,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     parsed = _load(args.file)
     opts = solver.SolveOptions(
         attack_n=args.attack,
@@ -109,6 +115,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
+    from . import solver
+
     parsed = _load(args.file)
     graph = parsed.graph
     verdict, cert = solver.is_optimal(graph)
@@ -128,6 +136,8 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import families
+
     parsed = _load(args.file)
     dens = families.density(parsed.graph)
     if args.json:
@@ -139,6 +149,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import families
+
     spec = families.FamilySpec(args.family, tuple(args.params))
     graph = families.generate(spec)
     _emit(graphio.write_graph_file(graph), args.output)
@@ -156,6 +168,8 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _cmd_tiling(args) -> int:
+    from . import tilings
+
     if args.dump_pattern:
         sys.stdout.write(tilings.pattern_table(tilings.find_pattern(args.kind)))
         return 0
@@ -202,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-twos", type=int, default=None, dest="max_twos")
     p.add_argument("--two-mode", choices=sorted(_TWO_MODE), default="any",
                    dest="two_mode")
-    p.add_argument("--method", choices=solver.METHODS, default="auto")
+    p.add_argument("--method", choices=limits.METHODS, default="auto")
     p.add_argument("--all", action="store_true",
                    help="enumerate every minimum labeling")
     p.add_argument("--json", action="store_true")
@@ -221,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("gen", help="generate a family graph file")
-    p.add_argument("family", choices=families.KINDS)
+    p.add_argument("family", choices=limits.FAMILY_KINDS)
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("tiling", help="lattice patches and periodic patterns")
-    p.add_argument("kind", choices=tilings.LATTICE_KINDS)
+    p.add_argument("kind", choices=limits.LATTICE_KINDS)
     p.add_argument("--size", default=None, metavar="WxH")
     p.add_argument("--wrap", choices=("open", "torus"), default="open")
     p.add_argument("--verify-pattern", action="store_true", dest="verify_pattern")
@@ -241,6 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    # A command builds its graph and search state once and frees almost none
+    # of it before it exits, so the cyclic collector only rescans live
+    # objects; it is paused for the command and left as the caller had it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

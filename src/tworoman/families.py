@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import BadSpecError
 from .graph import Graph, build_graph
-from .solver import solve
-
-KINDS = ("path", "cycle", "complete", "star", "complete_bipartite", "grid")
+from .limits import FAMILY_KINDS as KINDS
 
 _PARAM_COUNT = {"path": 1, "cycle": 1, "complete": 1, "star": 1,
                 "complete_bipartite": 2, "grid": 2}
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     kind: str
     params: tuple[int, ...]
@@ -99,6 +97,8 @@ def density(graph: Graph) -> Fraction:
     The number comes from ``solve``, so this runs at any order; its cost is
     that of the route ``solve`` picks.
     """
+    from .solver import solve  # loaded here so that ``gen`` runs without the solver
+
     if graph.order == 0:
         raise BadSpecError("density of an empty graph is undefined")
     return Fraction(solve(graph).gamma, graph.order)

@@ -14,7 +14,7 @@ pays for them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import EmptyGraphError, OutOfRangeError, SelfLoopError
 

@@ -17,9 +17,9 @@ once.  A bad record or mention is read again only to name the first fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, NoReturn
+from collections.abc import Callable
 
+from ._record import record
 from .errors import (DuplicateVertexError, MixedLabelsError, ParseError,
                      UnknownNeighborError)
 from .graph import Graph
@@ -28,7 +28,7 @@ from .labeling import Labeling, epn_set, partition, public_set
 _VALID_LABELS = (-1, 0, 1, 2)
 
 
-@dataclass(frozen=True)
+@record
 class ParseResult:
     graph: Graph
     labeling: Labeling | None
@@ -78,7 +78,7 @@ def _parse_record(line: str, line_no: int) -> tuple[int, int, list[int]]:
 
 
 def _raise_first_bad_mention(ids: tuple[int, ...], records: list[tuple[list[int], int]],
-                             index: dict[int, int]) -> NoReturn:
+                             index: dict[int, int]):
     """Raise for the first self-mention or unknown id, in file order; called
     only when the records hold one."""
     for ext, (neighbors, line_no) in zip(ids, records):

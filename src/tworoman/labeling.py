@@ -9,16 +9,16 @@ back to subset enumeration, over the 0s that Hall's condition leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Sequence
 
+from ._record import record
 from .graph import Graph, iter_bits
 
 LABELS = (0, 1, 2)
 
 
-@dataclass(frozen=True)
+@record
 class Labeling:
     """Total assignment of {0,1,2} to the vertices of one graph."""
 
@@ -45,7 +45,7 @@ class Labeling:
         return m
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     """Outcome of an n-attack check; carries a re-checkable witness on failure."""
 

@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from math import lcm
 
 from . import limits
+from ._record import record
 from .errors import InvalidEccdError, NotMinimumError, TooLargeError
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 from .labeling import Labeling, first_violation, validate
+from .limits import METHODS, TWO_MODES
 
-TWO_MODES = ("any", "minimize_twos", "maximize_twos")
-METHODS = ("bruteforce", "eccd", "auto")
 # Largest order at which ``solve``'s ``auto`` always takes the packing route;
 # past it ``_packing_pays`` picks the route.
 _ECCD_MAX_ORDER = 22
 
 
-@dataclass(frozen=True)
+@record
 class SolveOptions:
     """Knobs for ``solve`` and ``gamma_bruteforce``; defaults give the plain
     2-attack number."""
@@ -68,7 +67,7 @@ class SolveOptions:
                 and not self.enumerate_all)
 
 
-@dataclass(frozen=True)
+@record
 class SolveStats:
     """Work done by one solve.
 
@@ -85,7 +84,7 @@ class SolveStats:
     frontier_width: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     gamma: int
     labeling: Labeling
@@ -95,7 +94,7 @@ class SolveResult:
     feasible_two_counts: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class EccdSet:
     """Ordered P5 tuples satisfying the end-coupled center-disjoint rules.
 
@@ -104,7 +103,7 @@ class EccdSet:
     may not appear in any other tuple.
     """
 
-    paths: tuple[tuple[int, int, int, int, int], ...] = field(default=())
+    paths: tuple[tuple[int, int, int, int, int], ...] = ()
 
     def __len__(self):
         return len(self.paths)
@@ -113,7 +112,7 @@ class EccdSet:
         return iter(self.paths)
 
 
-@dataclass(frozen=True)
+@record
 class OptimalityCertificate:
     """A 0-2-0-2-0 path inside a witness minimum labeling."""
 

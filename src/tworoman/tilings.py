@@ -19,19 +19,19 @@ Lattice realizations (vertex (x, y), id = y*width + x):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import BadSpecError, IncompatibleTorusError
 from .families import density, density_lower_bound
 from .graph import Graph, ball, max_degree
 from .labeling import Labeling, validate
+from .limits import LATTICE_KINDS
 
-LATTICE_KINDS = ("square", "hexagonal", "triangular")
 LATTICE_DEGREE = {"square": 4, "hexagonal": 3, "triangular": 6}
 
 
-@dataclass(frozen=True)
+@record
 class PatchSpec:
     kind: str
     width: int
@@ -57,7 +57,7 @@ class PatchSpec:
                     "hexagonal torus needs an even height")
 
 
-@dataclass(frozen=True)
+@record
 class Patch:
     """A lattice patch together with its coordinate layout."""
 
@@ -102,7 +102,7 @@ def generate_patch(spec: PatchSpec) -> Patch:
     return Patch(spec, graph)
 
 
-@dataclass(frozen=True)
+@record
 class TilingPattern:
     """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y + t) mod m].
 
@@ -175,7 +175,7 @@ def find_pattern(kind: str) -> TilingPattern:
     return pattern
 
 
-@dataclass(frozen=True)
+@record
 class PatternReport:
     width: int
     height: int

@@ -1,8 +1,9 @@
+import gc
 import json
 
 import pytest
 
-from tworoman import FamilySpec, generate, parse_graph_file, write_graph_file
+from tworoman import FamilySpec, cli, generate, parse_graph_file, write_graph_file
 from tworoman.cli import cli_main
 
 
@@ -289,3 +290,34 @@ class TestExitCodes:
 
     def test_help(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestCollectorState:
+    """``cli_main`` pauses the cyclic collector and hands back the caller's state."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, expected", [
+        (["gen", "cycle", "5"], 0),
+        (["solve"], 2),
+        (["validate", "fig1_star.txt"], 1),
+    ], ids=["success", "usage-error", "invalid-labeling"])
+    def test_state_restored(self, capsys, fixtures_dir, enabled, argv, expected):
+        argv = [fixture(fixtures_dir, a) if a.endswith(".txt") else a for a in argv]
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *argv)[0] == expected
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_paused_during_command(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_gen", spy)
+        assert run(capsys, "gen", "cycle", "5")[0] == 0
+        assert seen == [False]
