@@ -34,8 +34,27 @@ def _emit(text: str, path: str | None):
             fh.write(text)
 
 
+def _build(make, *args):
+    """``make(*args)`` with the cyclic collector paused, then the caller's
+    setting back.
+
+    Parsing or generating a large graph allocates tens of thousands of lists,
+    sets and tuples that all stay live, so each collection they trigger
+    rescans them and frees nothing.  Only the build is paused: the searches
+    make and drop reference cycles, so the rest of a command runs with the
+    caller's setting.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return make(*args)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _load(path: str) -> graphio.ParseResult:
-    parsed = graphio.parse_graph_file(_read(path))
+    parsed = _build(graphio.parse_graph_file, _read(path))
     for warning in parsed.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return parsed
@@ -152,7 +171,7 @@ def _cmd_gen(args) -> int:
     from . import families
 
     spec = families.FamilySpec(args.family, tuple(args.params))
-    graph = families.generate(spec)
+    graph = _build(families.generate, spec)
     _emit(graphio.write_graph_file(graph), args.output)
     return 0
 
@@ -190,7 +209,8 @@ def _cmd_tiling(args) -> int:
             verdict = "valid" if report.valid else "invalid"
             print(f"{verdict}, density {report.density}")
         return 0 if report.valid else 1
-    patch = tilings.generate_patch(tilings.PatchSpec(args.kind, width, height, args.wrap))
+    patch = _build(tilings.generate_patch,
+                   tilings.PatchSpec(args.kind, width, height, args.wrap))
     _emit(graphio.write_graph_file(patch.graph), args.output)
     if args.dot:
         _emit(graphio.to_dot(patch.graph), args.dot)
@@ -255,19 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    # A command builds its graph and search state once and frees almost none
-    # of it before it exits, so the cyclic collector only rescans live
-    # objects; it is paused for the command and left as the caller had it.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 
 import pytest
@@ -293,7 +294,8 @@ class TestExitCodes:
 
 
 class TestCollectorState:
-    """``cli_main`` pauses the cyclic collector and hands back the caller's state."""
+    """``cli_main`` pauses the cyclic collector while a command builds its
+    graph, and hands back the caller's state."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("argv, expected", [
@@ -311,13 +313,31 @@ class TestCollectorState:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_paused_during_command(self, capsys, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize("argv, build, after", [
+        (["solve", "fig7_eccd.txt"], ("graphio", "parse_graph_file"), ("solver", "solve")),
+        (["gen", "grid", "3", "3"], ("families", "generate"), ("graphio", "write_graph_file")),
+        (["tiling", "square", "--size", "4x4"], ("tilings", "generate_patch"),
+         ("graphio", "write_graph_file")),
+    ], ids=["solve", "gen", "tiling"])
+    def test_paused_only_while_building(self, capsys, monkeypatch, fixtures_dir,
+                                        argv, build, after):
+        # The searches make and drop reference cycles, so they must run with
+        # the collector on when the caller has it on.
+        argv = [fixture(fixtures_dir, a) if a.endswith(".txt") else a for a in argv]
+        seen = {}
+        for step, (module, name) in (("build", build), ("after", after)):
+            module = importlib.import_module(f"tworoman.{module}")
+            real = getattr(module, name)
 
-        def spy(args):
-            seen.append(gc.isenabled())
-            return 0
+            def spy(*args, step=step, real=real):
+                seen[step] = gc.isenabled()
+                return real(*args)
 
-        monkeypatch.setattr(cli, "_cmd_gen", spy)
-        assert run(capsys, "gen", "cycle", "5")[0] == 0
-        assert seen == [False]
+            monkeypatch.setattr(module, name, spy)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            assert run(capsys, *argv)[0] == 0
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == {"build": False, "after": True}
