@@ -4,7 +4,9 @@ Exit codes: 0 success (or valid labeling), 1 invalid labeling, 2 usage or
 parse errors.
 
 Each command imports the solver, family and tiling modules it runs inside its
-own function, so ``validate`` and ``gen`` never load the solver.
+own function, so ``validate`` and ``gen`` never load the solver.  A command
+runs with the cyclic collector paused: its graph stays live to the end, and
+the searches leave only a constant number of reference cycles per pass.
 """
 
 from __future__ import annotations
@@ -34,27 +36,8 @@ def _emit(text: str, path: str | None):
             fh.write(text)
 
 
-def _build(make, *args):
-    """``make(*args)`` with the cyclic collector paused, then the caller's
-    setting back.
-
-    Parsing or generating a large graph allocates tens of thousands of lists,
-    sets and tuples that all stay live, so each collection they trigger
-    rescans them and frees nothing.  Only the build is paused: the searches
-    make and drop reference cycles, so the rest of a command runs with the
-    caller's setting.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return make(*args)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _load(path: str) -> graphio.ParseResult:
-    parsed = _build(graphio.parse_graph_file, _read(path))
+    parsed = graphio.parse_graph_file(_read(path))
     for warning in parsed.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return parsed
@@ -171,7 +154,7 @@ def _cmd_gen(args) -> int:
     from . import families
 
     spec = families.FamilySpec(args.family, tuple(args.params))
-    graph = _build(families.generate, spec)
+    graph = families.generate(spec)
     _emit(graphio.write_graph_file(graph), args.output)
     return 0
 
@@ -209,8 +192,7 @@ def _cmd_tiling(args) -> int:
             verdict = "valid" if report.valid else "invalid"
             print(f"{verdict}, density {report.density}")
         return 0 if report.valid else 1
-    patch = _build(tilings.generate_patch,
-                   tilings.PatchSpec(args.kind, width, height, args.wrap))
+    patch = tilings.generate_patch(tilings.PatchSpec(args.kind, width, height, args.wrap))
     _emit(graphio.write_graph_file(patch.graph), args.output)
     if args.dot:
         _emit(graphio.to_dot(patch.graph), args.dot)
@@ -280,12 +262,17 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         limits.enumeration_max_order()  # a bad override is a usage error everywhere
         return args.func(args)
     except (TwoRomanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def main():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import record
 from .errors import BadSpecError
 from .graph import Graph, build_graph
@@ -91,23 +89,27 @@ def gamma_formula(spec: FamilySpec) -> int | None:
     return None
 
 
-def density(graph: Graph) -> Fraction:
+def density(graph: Graph) -> "Fraction":
     """Exact 2-attack number divided by the order, in lowest terms.
 
     The number comes from ``solve``, so this runs at any order; its cost is
     that of the route ``solve`` picks.
     """
-    from .solver import solve  # loaded here so that ``gen`` runs without the solver
+    from fractions import Fraction  # loaded here, like the solver, so ``gen`` skips them
+
+    from .solver import solve
 
     if graph.order == 0:
         raise BadSpecError("density of an empty graph is undefined")
     return Fraction(solve(graph).gamma, graph.order)
 
 
-def density_lower_bound(max_degree: int) -> Fraction:
+def density_lower_bound(max_degree: int) -> "Fraction":
     """min(1, 4/(max degree + 3)); every graph's density sits at or above
     this.  The cap only acts at max degree 0, where every vertex needs its
     own 1 and the density is exactly 1."""
+    from fractions import Fraction
+
     if max_degree < 0:
         raise BadSpecError("max_degree must be >= 0")
     return min(Fraction(1), Fraction(4, max_degree + 3))

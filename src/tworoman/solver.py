@@ -748,35 +748,38 @@ def _eccd_gain_table(gain: list[int]) -> list[list[int]]:
 
 def _min_cost_leaf_assignment(adj, inners, imask, pmask, budget):
     """Distinct leaves for all inners using fewer than ``budget`` potential
-    centers; returns (cost, {inner: leaf}) or None."""
+    centers; returns (cost, {inner: leaf}) or None.
+
+    The search is the module-level ``_leaf_dfs`` rather than a closure: a
+    self-recursive closure is a reference cycle, and the packing sweep calls
+    this once per surviving inner set.
+    """
     order = sorted(inners, key=lambda i: (adj[i] & ~imask).bit_count())
-    best_cost = budget
-    best_assign = None
-    assign: dict[int, int] = {}
-
-    def rec(k, used, cost):
-        nonlocal best_cost, best_assign
-        if cost >= best_cost:
-            return
-        if k == len(order):
-            best_cost = cost
-            best_assign = dict(assign)
-            return
-        i = order[k]
-        opts = adj[i] & ~imask & ~used
-        for extra, pool in ((0, opts & ~pmask), (1, opts & pmask)):
-            m = pool
-            while m:
-                b = m & -m
-                m ^= b
-                assign[i] = b.bit_length() - 1
-                rec(k + 1, used | b, cost + extra)
-                del assign[i]
-
-    rec(0, 0, 0)
-    if best_assign is None:
+    best = [budget, None]
+    _leaf_dfs(adj, order, ~imask, pmask, 0, 0, 0, [], best)
+    if best[1] is None:
         return None
-    return best_cost, best_assign
+    return best[0], dict(zip(order, best[1]))
+
+
+def _leaf_dfs(adj, order, outside, pmask, k, used, cost, leaves, best):
+    """Leaves for ``order[k:]``, off ``used``, free ones (outside ``pmask``)
+    first; ``best`` = [cost bound, leaves of the first assignment below it]."""
+    if cost >= best[0]:
+        return
+    if k == len(order):
+        best[0] = cost
+        best[1] = leaves.copy()
+        return
+    opts = adj[order[k]] & outside & ~used
+    for extra, m in ((0, opts & ~pmask), (1, opts & pmask)):
+        while m:
+            b = m & -m
+            m ^= b
+            leaves.append(b.bit_length() - 1)
+            _leaf_dfs(adj, order, outside, pmask, k + 1, used | b, cost + extra,
+                      leaves, best)
+            leaves.pop()
 
 
 def max_eccd(graph: Graph) -> EccdSet:

@@ -294,8 +294,8 @@ class TestExitCodes:
 
 
 class TestCollectorState:
-    """``cli_main`` pauses the cyclic collector while a command builds its
-    graph, and hands back the caller's state."""
+    """``cli_main`` pauses the cyclic collector for the whole command, and
+    hands back the caller's state."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("argv, expected", [
@@ -318,11 +318,15 @@ class TestCollectorState:
         (["gen", "grid", "3", "3"], ("families", "generate"), ("graphio", "write_graph_file")),
         (["tiling", "square", "--size", "4x4"], ("tilings", "generate_patch"),
          ("graphio", "write_graph_file")),
-    ], ids=["solve", "gen", "tiling"])
-    def test_paused_only_while_building(self, capsys, monkeypatch, fixtures_dir,
-                                        argv, build, after):
-        # The searches make and drop reference cycles, so they must run with
-        # the collector on when the caller has it on.
+        (["tiling", "square", "--size", "14x14", "--verify-pattern"],
+         ("tilings", "generate_patch"), ("tilings", "validate")),
+        (["optimal", "fig7_eccd.txt"], ("graphio", "parse_graph_file"),
+         ("solver", "is_optimal")),
+    ], ids=["solve", "gen", "tiling", "tiling-verify", "optimal"])
+    def test_paused_for_whole_command(self, capsys, monkeypatch, fixtures_dir,
+                                      argv, build, after):
+        # The searches leave only a constant number of cycles, so the whole
+        # command runs with the collector off, the build and what follows it.
         argv = [fixture(fixtures_dir, a) if a.endswith(".txt") else a for a in argv]
         seen = {}
         for step, (module, name) in (("build", build), ("after", after)):
@@ -338,6 +342,7 @@ class TestCollectorState:
         try:
             gc.enable()
             assert run(capsys, *argv)[0] == 0
+            assert gc.isenabled()
         finally:
             (gc.enable if was_enabled else gc.disable)()
-        assert seen == {"build": False, "after": True}
+        assert seen == {"build": False, "after": False}

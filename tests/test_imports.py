@@ -87,7 +87,7 @@ def test_light_commands_skip_solver_and_tilings(argv):
     code, modules = loaded_by(*argv)
     assert code == 0
     assert "tworoman.cli" in modules
-    assert not modules & {"tworoman.solver", "tworoman.tilings", "dataclasses"}
+    assert not modules & {"tworoman.solver", "tworoman.tilings", "dataclasses", "fractions"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from itertools import combinations
@@ -627,6 +628,23 @@ class TestEccdPruning:
         result = gamma_via_eccd(build_graph(20, edges))
         assert result.gamma == 16
         assert result.stats.nodes <= 100
+
+    @pytest.mark.parametrize("run, g", [(max_eccd, fam("grid", 4, 5)),
+                                        (gamma_via_eccd, tilings.ball_graph("triangular", 2))],
+                             ids=["max_eccd-grid4x5", "gamma_via_eccd-triball2"])
+    def test_leaves_no_cyclic_garbage(self, run, g):
+        # The CLI runs a command with the cyclic collector off, so a packing
+        # search may leave only a constant number of cycles: under 50
+        # objects here, thousands if each leaf assignment left a cycle.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run(g)
+            assert gc.collect() <= 100
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEccdToLabeling:
