@@ -4,11 +4,11 @@ Internal vertex ids are contiguous 0..order-1.  Every graph additionally
 carries a bijective map to external ids (the numbering used in input files);
 for graphs built directly in code the two numberings coincide.  Adjacency is
 stored as one sorted tuple of neighbor ids per vertex, which is what file
-output, DOT export and the traversals here read.  The solver and the
-validators work on one Python int bitmask per vertex, which keeps their hot
-loops (neighborhood intersections) down to a couple of machine-word
-operations per word of vertices; those masks are built once, the first time
-they are asked for, so a large graph that is only read and written never
+output, DOT export, validation and the traversals here read.  The searches
+work on one Python int bitmask per vertex, which keeps their hot loops
+(neighborhood intersections) down to a couple of machine-word operations per
+word of vertices; those masks are built once, the first time a search asks
+for them, so a large graph that is only read, validated and written never
 pays for them.
 """
 
@@ -106,6 +106,10 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
+
+    def neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbor tuple of every vertex, indexed by vertex id."""
+        return self._nbrs
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])

@@ -5,6 +5,10 @@ labeled 0 has at least j vertices labeled 2 in its open neighborhood.  For
 n=1 this is the classical Roman domination condition; for n=2 there is a
 linear-time characterization (see ``validate``), and for larger n we fall
 back to subset enumeration, over the 0s that Hall's condition leaves.
+Validation, ``epn_set`` and ``public_set`` only ask which neighbors of each
+0 are labeled 2, so they read the graph's sorted neighbor tuples and never
+build its adjacency bitmasks; only ``validate_by_enumeration``, the
+reference the fast path is checked against, works on those masks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from ._record import record
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 LABELS = (0, 1, 2)
 
@@ -66,58 +70,70 @@ def partition(labeling: Labeling) -> tuple[frozenset[int], frozenset[int], froze
     return tuple(frozenset(p) for p in parts)
 
 
+def _zeros_by_two_count(labeling: Labeling) -> tuple[list[int], list[int], list[int]]:
+    """The 0s in id order, split by their number of 2-neighbors: none, one,
+    two or more."""
+    labels = labeling.labels
+    nbrs = labeling.graph.neighbor_tuples()
+    out = ([], [], [])
+    for v, lab in enumerate(labels):
+        if lab == 0:
+            c = 0
+            for u in nbrs[v]:
+                if labels[u] == 2:
+                    c += 1
+            out[c if c < 2 else 2].append(v)
+    return out
+
+
 def epn_set(labeling: Labeling) -> frozenset[int]:
     """Vertices labeled 0 adjacent to exactly one vertex labeled 2."""
-    two_mask = labeling.label_mask(2)
-    out = []
-    for v, lab in enumerate(labeling.labels):
-        if lab == 0 and (labeling.graph.adjacency_mask(v) & two_mask).bit_count() == 1:
-            out.append(v)
-    return frozenset(out)
+    return frozenset(_zeros_by_two_count(labeling)[1])
 
 
 def public_set(labeling: Labeling) -> frozenset[int]:
     """Vertices labeled 0 adjacent to two or more vertices labeled 2."""
-    two_mask = labeling.label_mask(2)
-    out = []
-    for v, lab in enumerate(labeling.labels):
-        if lab == 0 and (labeling.graph.adjacency_mask(v) & two_mask).bit_count() >= 2:
-            out.append(v)
-    return frozenset(out)
+    return frozenset(_zeros_by_two_count(labeling)[2])
 
 
-def first_violation(adj: Sequence[int], labels, attack_n: int) -> tuple[int, ...] | None:
+def first_violation(nbrs: Sequence[Sequence[int]], labels,
+                    attack_n: int) -> tuple[int, ...] | None:
     """First set of 0-vertices that breaks the ``attack_n`` condition, or None.
 
-    ``adj`` holds the adjacency masks and ``labels`` the label vector.  Sets
-    are ordered by size, then lexicographically, as subset enumeration
-    would visit them.  Sizes 1 and 2 take one pass over the 0s: a 0 with no
-    2-neighbor, then the first pair of 0s sharing one unique 2-neighbor (the
-    only way two 0s that each have a 2-neighbor can see fewer than two 2s).
-    Scanning the 0s in id order, a pair is kept when its first member is
-    smaller than the kept one's, so the kept pair is lexicographically first.
-    Sizes j >= 3 enumerate the j-subsets of the 0s with fewer than j
-    2-neighbors (Hall's condition).
+    ``nbrs`` holds the sorted neighbor ids of each vertex and ``labels`` the
+    label vector.  Sets are ordered by size, then lexicographically, as
+    subset enumeration would visit them.  One pass over the 0s collects the
+    2-neighbors of each, and settles sizes 1 and 2: a 0 with no 2-neighbor,
+    then the first pair of 0s sharing one unique 2-neighbor (the only way two
+    0s that each have a 2-neighbor can see fewer than two 2s).  Scanning the
+    0s in id order, a pair is kept when its first member is smaller than the
+    kept one's, so the kept pair is lexicographically first.  Sizes j >= 3
+    enumerate the j-subsets of the 0s with fewer than j 2-neighbors (Hall's
+    condition), each 0 carrying a mask of the 2s it sees.  A set of 0s holds
+    no 2, so the 2s its members see are just the union of those masks; the
+    2s are numbered densely in order of first sight, so each mask is as long
+    as the number of 2s the candidates see, not as the highest vertex id.
     """
-    two_mask = 0
-    zeros = []
-    for v, lab in enumerate(labels):
-        if lab == 2:
-            two_mask |= 1 << v
-        elif lab == 0:
-            zeros.append(v)
     use_pairs = attack_n >= 2
+    zeros = []
+    seen = []
     first: dict[int, int] = {}
     pair = None
-    for v in zeros:
-        t = adj[v] & two_mask
-        if t == 0:
+    for v, lab in enumerate(labels):
+        if lab:
+            continue
+        t = []  # a plain loop: a comprehension's frame costs more per 0
+        for u in nbrs[v]:
+            if labels[u] == 2:
+                t.append(u)
+        if not t:
             return (v,)
-        if use_pairs and t & (t - 1) == 0:
-            # keyed by the bit's position: hashing t costs its length
-            u = first.setdefault(t.bit_length(), v)
+        if use_pairs and len(t) == 1:
+            u = first.setdefault(t[0], v)
             if u != v and (pair is None or u < pair[0]):
                 pair = (u, v)
+        zeros.append(v)
+        seen.append(t)
     if pair is not None:
         return pair
     if attack_n < 3:
@@ -125,10 +141,17 @@ def first_violation(adj: Sequence[int], labels, attack_n: int) -> tuple[int, ...
     # Hall filter: a j-set of 0s that sees fewer than j 2s has no member that
     # sees j or more, so only 0s with fewer than j 2-neighbors can be in one.
     # The filtered subsets keep their lexicographic order.
-    twos = [(adj[v] & two_mask).bit_count() for v in zeros]
+    rank: dict[int, int] = {}
+    masks = {}
+    for v, t in zip(zeros, seen):
+        if len(t) < attack_n:
+            m = 0
+            for u in t:
+                m |= 1 << rank.setdefault(u, len(rank))
+            masks[v] = m
     for j in range(3, attack_n + 1):
-        short = [v for v, t in zip(zeros, twos) if t < j]
-        hit = _first_violation_of_size(adj, short, two_mask, j)
+        short = [v for v, t in zip(zeros, seen) if len(t) < j]
+        hit = _first_violation_of_size(masks, short, j)
         if hit is not None:
             return hit
     return None
@@ -144,18 +167,18 @@ def validate(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
     """
     if attack_n < 1:
         raise ValueError("attack_n must be >= 1")
-    witness = first_violation(labeling.graph.adjacency_masks(), labeling.labels, attack_n)
+    witness = first_violation(labeling.graph.neighbor_tuples(), labeling.labels, attack_n)
     return ValidationReport(witness is None, attack_n, witness)
 
 
-def _first_violation_of_size(adj, zeros, two_mask, j) -> tuple[int, ...] | None:
+def _first_violation_of_size(seen, zeros, j) -> tuple[int, ...] | None:
+    """First j-subset of ``zeros``, in lex order, whose members see fewer
+    than j 2s between them; ``seen[v]`` is the mask of the 2s that v sees."""
     for subset in combinations(zeros, j):
-        smask = 0
-        nmask = 0
+        m = 0
         for v in subset:
-            smask |= 1 << v
-            nmask |= adj[v]
-        if (nmask & ~smask & two_mask).bit_count() < j:
+            m |= seen[v]
+        if m.bit_count() < j:
             return subset
     return None
 
@@ -168,8 +191,9 @@ def validate_by_enumeration(labeling: Labeling, attack_n: int = 2) -> Validation
     adj = labeling.graph.adjacency_masks()
     two_mask = labeling.label_mask(2)
     zeros = [v for v, lab in enumerate(labeling.labels) if lab == 0]
+    seen = {v: adj[v] & two_mask for v in zeros}
     for j in range(1, attack_n + 1):
-        hit = _first_violation_of_size(adj, zeros, two_mask, j)
+        hit = _first_violation_of_size(seen, zeros, j)
         if hit is not None:
             return ValidationReport(False, attack_n, hit)
     return ValidationReport(True, attack_n)

@@ -371,7 +371,7 @@ def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
 
 def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
             bound: _Discharge | None, wmax: int, leaf, thi: int | None = None,
-            tlo: int = 0) -> int:
+            tlo: int = 0, nbrs=None) -> int:
     """The one branch-and-bound core: a DFS over label vectors.
 
     Labels the vertices in ``order``, trying the labels ``labs`` at each.  A
@@ -381,9 +381,14 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
     ``thi`` None is no cap), or on ``_seal_conflict``.  At each complete
     valid labeling it calls ``leaf(labels, wgt, twos)`` with the live label
     vector, which returns the new limits (wmax, tlo, thi), or None to stop.
-    Returns the number of nodes explored, leaves included.
+    A labeling is checked with ``first_violation`` over ``nbrs``, the
+    neighbor tuples of ``adj``: a solve passes its graph's, and they are
+    derived from ``adj`` only when none are given.  Returns the number of
+    nodes explored, leaves included.
     """
     n = len(adj)
+    if nbrs is None:
+        nbrs = [tuple(iter_bits(a)) for a in adj]
     use_pairs = attack_n >= 2
     bound = bound or _Discharge(adj, attack_n)
     labels = [0] * n
@@ -396,7 +401,7 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
         nonlocal nodes, running, wmax, tlo, thi
         nodes += 1
         if idx == n:
-            if first_violation(adj, labels, attack_n) is None:
+            if first_violation(nbrs, labels, attack_n) is None:
                 new = leaf(labels, wgt, twos)
                 if new is None:
                     running = False
@@ -440,7 +445,7 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
 
 def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None,
               order: list[int] | None = None,
-              bound: _Discharge | None = None) -> tuple[int, int]:
+              bound: _Discharge | None = None, nbrs=None) -> tuple[int, int]:
     """Minimum weight over valid labelings; returns (gamma, nodes explored).
 
     Vertices are explored in ``order`` (default ``_search_order``) and labels
@@ -456,12 +461,13 @@ def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None,
 
     if order is None:
         order = _search_order(adj)[0]
-    nodes = _search(adj, attack_n, order, (0, 2, 1), bound, best - 1, leaf, max_twos)
+    nodes = _search(adj, attack_n, order, (0, 2, 1), bound, best - 1, leaf, max_twos,
+                    nbrs=nbrs)
     return best, nodes
 
 
 def _lex_first_labeling(adj, attack_n, gamma, thi=None, tlo=0,
-                        bound=None) -> tuple[int, ...] | None:
+                        bound=None, nbrs=None) -> tuple[int, ...] | None:
     """First labeling in label-vector lexicographic order among the valid
     labelings of weight ``gamma`` with a 2-count in [``tlo``, ``thi``]; None
     when there is none.  ``gamma`` is the minimum weight, so no valid
@@ -469,12 +475,12 @@ def _lex_first_labeling(adj, attack_n, gamma, thi=None, tlo=0,
     labels 0, 1, 2 and stops at its first leaf."""
     found = []
     _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma,
-            lambda labels, wgt, twos: found.append(tuple(labels)), thi, tlo)
+            lambda labels, wgt, twos: found.append(tuple(labels)), thi, tlo, nbrs)
     return found[0] if found else None
 
 
 def _iter_exact_weight(adj, attack_n, gamma, max_twos=None,
-                       bound=None) -> list[tuple[int, ...]]:
+                       bound=None, nbrs=None) -> list[tuple[int, ...]]:
     """Every valid labeling of weight ``gamma``, the minimum weight under the
     2-count cap ``max_twos``, in lex order: the search of
     ``_lex_first_labeling`` run to the end."""
@@ -484,11 +490,13 @@ def _iter_exact_weight(adj, attack_n, gamma, max_twos=None,
         found.append(tuple(labels))
         return gamma, 0, max_twos
 
-    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma, leaf, max_twos)
+    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma, leaf, max_twos,
+            nbrs=nbrs)
     return found
 
 
-def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None) -> int:
+def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None,
+                   nbrs=None) -> int:
     """Extremal |V2| over valid labelings of weight ``gamma``, the minimum
     weight, searched in ``order`` (default ``_search_order``).
 
@@ -506,7 +514,8 @@ def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None)
         best = twos
         return (gamma, twos + 1, None) if maximize else (gamma, 0, twos - 1)
 
-    _search(adj, attack_n, order, (2, 0, 1) if maximize else (0, 1, 2), bound, gamma, leaf)
+    _search(adj, attack_n, order, (2, 0, 1) if maximize else (0, 1, 2), bound, gamma, leaf,
+            nbrs=nbrs)
     return best
 
 
@@ -534,22 +543,23 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
             raise TooLargeError(graph.order, limit)
     start = time.perf_counter()
     adj = _adj_list(graph)
+    nbrs = graph.neighbor_tuples()
     attack, cap = opts.attack_n, opts.max_twos
     bound = _Discharge(adj, attack)
     order, _, width = _search_order(adj)
-    gamma, nodes = _bb_gamma(adj, attack, cap, order, bound)
+    gamma, nodes = _bb_gamma(adj, attack, cap, order, bound, nbrs)
     tlo, thi = 0, graph.order if cap is None else cap
     if opts.two_mode != "any":
         tlo = thi = _extremal_twos(adj, attack, gamma, opts.two_mode == "maximize_twos",
-                                   order, bound)
+                                   order, bound, nbrs)
     all_minimum = feasible = None
     if opts.enumerate_all:
-        found = _iter_exact_weight(adj, attack, gamma, cap, bound)
+        found = _iter_exact_weight(adj, attack, gamma, cap, bound, nbrs)
         all_minimum = tuple(Labeling(graph, labs) for labs in found)
         feasible = tuple(sorted({labs.count(2) for labs in found}))
         first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
     else:
-        first = _lex_first_labeling(adj, attack, gamma, thi, tlo, bound)
+        first = _lex_first_labeling(adj, attack, gamma, thi, tlo, bound, nbrs)
     stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
     return SolveResult(gamma, Labeling(graph, first), graph.order - gamma, stats,
                        all_minimum, feasible)

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
-from tworoman.graph import mask_of
+from tworoman.graph import iter_bits, mask_of
 from tworoman.labeling import first_violation
 from tworoman.solver import (_Discharge, _min_cost_leaf_assignment, _seal_conflict,
                              _seal_scan)
@@ -168,13 +168,14 @@ def bb_gamma_degree_order(adj: list[int], attack_n: int,
     best = n
     nodes = 0
     labels = [1] * n
+    nbrs = [tuple(iter_bits(a)) for a in adj]
     bound = _Discharge(adj, attack_n)
 
     def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
         nonlocal best, nodes
         nodes += 1
         if idx == n:
-            if first_violation(adj, labels, attack_n) is None:
+            if first_violation(nbrs, labels, attack_n) is None:
                 best = wgt
             return
         v = order[idx]

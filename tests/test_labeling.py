@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import allepn_labelings, fig1_star_labeled, random_graphs
-from tworoman import (FamilySpec, Labeling, build_graph, epn_set, generate,
-                      partition, public_set, validate, validate_by_enumeration,
-                      weight)
+from tworoman import (FamilySpec, Graph, Labeling, PatchSpec, build_graph, epn_set,
+                      find_pattern, generate, generate_patch, parse_graph_file,
+                      partition, pattern_labeling, public_set, structured_document,
+                      to_dot, validate, validate_by_enumeration, verify_pattern,
+                      weight, write_graph_file)
 from tworoman import labeling as labeling_module
 from tworoman.labeling import first_violation
 
@@ -187,12 +189,65 @@ def test_fast_path_matches_enumeration_random(lab):
 
 @given(graph_and_labeling(max_order=9), st.integers(min_value=1, max_value=4))
 @settings(max_examples=100, deadline=None)
-def test_mask_validator_matches_enumeration_at_any_attack(lab, attack):
+def test_tuple_validator_matches_enumeration_at_any_attack(lab, attack):
     report = validate(lab, attack)
     assert report == validate_by_enumeration(lab, attack)
-    adj = [lab.graph.adjacency_mask(v) for v in range(lab.graph.order)]
-    assert first_violation(adj, lab.labels, attack) == report.witness
-    assert (first_violation(adj, list(lab.labels), attack) is None) == report.valid
+    nbrs = [lab.graph.neighbors(v) for v in range(lab.graph.order)]
+    assert first_violation(nbrs, lab.labels, attack) == report.witness
+    assert (first_violation(nbrs, list(lab.labels), attack) is None) == report.valid
+
+
+@st.composite
+def wide_labeling(draw):
+    """A labeling of order 65 to 130 whose 2s come in pairs 64 ids apart, so
+    the enumeration reference's masks span more than one 64-bit word and
+    each 2 shares its id modulo 64 with another.  At most nine 0s keep the
+    subset count small; each 0 sees one to three 2s and may see other 0s,
+    and the rest of the graph is labeled 1."""
+    n = draw(st.integers(min_value=65, max_value=130))
+    low = draw(st.lists(st.integers(min_value=0, max_value=n - 65), min_size=1,
+                        max_size=5, unique=True))
+    twos = low + [v + 64 for v in low]
+    zeros = draw(st.lists(st.integers(min_value=0, max_value=n - 1).filter(
+        lambda v: v not in twos), min_size=1, max_size=9, unique=True))
+    labels = [1] * n
+    for v in twos:
+        labels[v] = 2
+    for v in zeros:
+        labels[v] = 0
+    edges = []
+    for z in zeros:
+        near = draw(st.lists(st.sampled_from(twos), min_size=1, max_size=3, unique=True))
+        near += draw(st.lists(st.sampled_from(zeros), max_size=2, unique=True))
+        edges += [(z, u) for u in near if u != z]
+    return Labeling(build_graph(n, edges), tuple(labels))
+
+
+@given(wide_labeling(), st.integers(min_value=3, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_tuple_validator_matches_enumeration_past_one_word(lab, attack):
+    assert validate(lab, attack).witness == validate_by_enumeration(lab, attack).witness
+
+
+def test_no_masks_outside_the_searches(monkeypatch):
+    # Validation, file output, DOT, JSON and pattern checks read the neighbor
+    # tuples; only the searches build the adjacency masks.
+    built = []
+    real = Graph.adjacency_masks
+    monkeypatch.setattr(Graph, "adjacency_masks",
+                        lambda self: built.append(self) or real(self))
+    pattern = find_pattern("square")
+    patch = generate_patch(PatchSpec("square", 14, 14, "torus"))
+    parsed = parse_graph_file(write_graph_file(patch.graph,
+                                               pattern_labeling(pattern, patch)))
+    g, lab = parsed.graph, parsed.labeling
+    assert [validate(lab, attack).valid for attack in (1, 2, 3)] == [True, True, False]
+    to_dot(g, lab)
+    write_graph_file(g, lab)
+    assert structured_document(g, lab)["epn_count"] == len(epn_set(lab))
+    assert verify_pattern(pattern, [(14, 14)])[0].valid
+    assert g._masks is None and patch.graph._masks is None
+    assert built == []
 
 
 @given(graph_and_labeling(max_order=12), st.integers(min_value=1, max_value=4))
@@ -226,9 +281,9 @@ def _record_candidates(monkeypatch):
     seen = {}
     inner = labeling_module._first_violation_of_size
 
-    def spy(adj, zeros, two_mask, j):
+    def spy(masks, zeros, j):
         seen[j] = list(zeros)
-        return inner(adj, zeros, two_mask, j)
+        return inner(masks, zeros, j)
 
     monkeypatch.setattr(labeling_module, "_first_violation_of_size", spy)
     return seen
