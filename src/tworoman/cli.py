@@ -6,7 +6,7 @@ parse errors.
 Each command imports the solver, family and tiling modules it runs inside its
 own function, so ``validate`` and ``gen`` never load the solver.  A command
 runs with the cyclic collector paused: its graph stays live to the end, and
-the searches leave only a constant number of reference cycles per pass.
+the searches leave no reference cycles, so each pass frees its state on return.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from ._record import record
 from .errors import (DuplicateVertexError, MixedLabelsError, ParseError,
                      UnknownNeighborError)
 from .graph import Graph
-from .labeling import Labeling, epn_set, partition, public_set
+from .labeling import Labeling, _zeros_by_two_count
 
 _VALID_LABELS = (-1, 0, 1, 2)
 
@@ -155,20 +155,25 @@ def write_graph_file(graph: Graph, labeling: Labeling | None = None) -> str:
 
 def structured_document(graph: Graph, labeling: Labeling | None,
                         extra: dict | None = None) -> dict:
-    """Machine-readable summary of a (possibly labeled) graph."""
+    """Machine-readable summary of a (possibly labeled) graph.
+
+    The 0s are classified by their 2-neighbors once, for both the
+    ``epn_count`` and the ``public_count``.
+    """
     doc = {
         "order": graph.order,
         "edge_count": graph.edge_count(),
     }
     if labeling is not None:
-        v0, v1, v2 = partition(labeling)
+        labels = labeling.labels
+        _, epn, public = _zeros_by_two_count(labeling)
         doc.update({
             "weight": labeling.weight,
-            "labels": {str(graph.external_id(v)): labeling.labels[v]
-                       for v in range(graph.order)},
-            "partition_sizes": {"v0": len(v0), "v1": len(v1), "v2": len(v2)},
-            "epn_count": len(epn_set(labeling)),
-            "public_count": len(public_set(labeling)),
+            "labels": {str(graph.external_id(v)): labels[v] for v in range(graph.order)},
+            "partition_sizes": {"v0": labels.count(0), "v1": labels.count(1),
+                                "v2": labels.count(2)},
+            "epn_count": len(epn),
+            "public_count": len(public),
         })
     if extra:
         doc.update(extra)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Sequence
 from itertools import accumulate, combinations
 from math import lcm
 
@@ -121,12 +122,8 @@ class OptimalityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helpers (adjacency masks, leaf validity)
+# shared low-level helpers (sealed-0 checks, the residual bound)
 # ---------------------------------------------------------------------------
-
-
-def _adj_list(graph: Graph) -> list[int]:
-    return list(graph.adjacency_masks())
 
 
 def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:
@@ -186,7 +183,7 @@ class _Discharge:
 
     __slots__ = ("adj", "scale", "charge", "share", "bonus")
 
-    def __init__(self, adj: list[int], attack_n: int):
+    def __init__(self, adj: Sequence[int], attack_n: int):
         self.adj = adj
         deg = [a.bit_count() for a in adj]
         slack, need = (3, 4) if attack_n >= 2 else (1, 2)
@@ -263,7 +260,7 @@ class _Discharge:
 # ---------------------------------------------------------------------------
 
 
-def _seal_scan(adj: list[int], start: int | None = None,
+def _seal_scan(adj: Sequence[int], start: int | None = None,
                cap: int | None = None) -> tuple[list[int], int, int] | None:
     """One greedy seal order with its frontier profile: (order, score, width).
 
@@ -349,7 +346,7 @@ def _seal_scan(adj: list[int], start: int | None = None,
     return order, score, top
 
 
-def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
+def _search_order(adj: Sequence[int]) -> tuple[list[int], int, int]:
     """The vertex order of the optimum and extremal-count searches.
 
     The search cost grows with the frontier width the order leaves, and the
@@ -369,33 +366,26 @@ def _search_order(adj: list[int]) -> tuple[list[int], int, int]:
     return best
 
 
-def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
-            bound: _Discharge | None, wmax: int, leaf, thi: int | None = None,
-            tlo: int = 0, nbrs=None) -> int:
+def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
+            labs: tuple[int, ...], wmax: int, tlo: int, thi: int, leaf) -> int:
     """The one branch-and-bound core: a DFS over label vectors.
 
-    Labels the vertices in ``order``, trying the labels ``labs`` at each.  A
-    child is cut when its weight plus the ``_Discharge`` bound of the rest
-    exceeds ``wmax``, when its 2-count leaves the window [``tlo``, ``thi``]
-    (the rest can add at most half the weight left under ``wmax`` in 2s;
-    ``thi`` None is no cap), or on ``_seal_conflict``.  At each complete
-    valid labeling it calls ``leaf(labels, wgt, twos)`` with the live label
+    Labels the vertices in ``order``, trying the labels ``labs`` at each.
+    ``adj`` holds the adjacency masks and ``nbrs`` the sorted neighbor
+    tuples of one graph, and ``bound`` is its ``_Discharge``.  A child is cut
+    when its weight plus the bound of the rest exceeds ``wmax``, when its
+    2-count leaves the window [``tlo``, ``thi``] (the rest can add at most
+    half the weight left under ``wmax`` in 2s; ``thi`` = n is no cap), or on
+    ``_seal_conflict``.  At each labeling that ``first_violation`` passes it
+    calls the leaf rule ``leaf(labels, wgt, twos)`` with the live label
     vector, which returns the new limits (wmax, tlo, thi), or None to stop.
-    A labeling is checked with ``first_violation`` over ``nbrs``, the
-    neighbor tuples of ``adj``: a solve passes its graph's, and they are
-    derived from ``adj`` only when none are given.  Returns the number of
-    nodes explored, leaves included.
+    Returns the number of nodes explored, leaves included.
     """
     n = len(adj)
-    if nbrs is None:
-        nbrs = [tuple(iter_bits(a)) for a in adj]
     use_pairs = attack_n >= 2
-    bound = bound or _Discharge(adj, attack_n)
     labels = [0] * n
     nodes = 0
     running = True
-    if thi is None:
-        thi = n
 
     def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
         nonlocal nodes, running, wmax, tlo, thi
@@ -407,8 +397,6 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
                     running = False
                 else:
                     wmax, tlo, thi = new
-                    if thi is None:
-                        thi = n
             return
         v = order[idx]
         vbit = 1 << v
@@ -440,101 +428,35 @@ def _search(adj: list[int], attack_n: int, order, labs: tuple[int, ...],
         rec(0, 0, 0, full, 0, 0, bound.state(full))
     finally:
         sys.setrecursionlimit(limit)
+        del rec  # ``rec`` refers to itself: drop the cycle with the pass
     return nodes
-
-
-def _bb_gamma(adj: list[int], attack_n: int, max_twos: int | None,
-              order: list[int] | None = None,
-              bound: _Discharge | None = None, nbrs=None) -> tuple[int, int]:
-    """Minimum weight over valid labelings; returns (gamma, nodes explored).
-
-    Vertices are explored in ``order`` (default ``_search_order``) and labels
-    in the order 0, 2, 1.  The incumbent starts at the all-1 labeling, which
-    is always valid, and each leaf found lowers the weight limit below it.
-    """
-    best = len(adj)
-
-    def leaf(labels, wgt, twos):
-        nonlocal best
-        best = wgt
-        return wgt - 1, 0, max_twos
-
-    if order is None:
-        order = _search_order(adj)[0]
-    nodes = _search(adj, attack_n, order, (0, 2, 1), bound, best - 1, leaf, max_twos,
-                    nbrs=nbrs)
-    return best, nodes
-
-
-def _lex_first_labeling(adj, attack_n, gamma, thi=None, tlo=0,
-                        bound=None, nbrs=None) -> tuple[int, ...] | None:
-    """First labeling in label-vector lexicographic order among the valid
-    labelings of weight ``gamma`` with a 2-count in [``tlo``, ``thi``]; None
-    when there is none.  ``gamma`` is the minimum weight, so no valid
-    labeling in the window weighs less.  The search runs in id order with
-    labels 0, 1, 2 and stops at its first leaf."""
-    found = []
-    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma,
-            lambda labels, wgt, twos: found.append(tuple(labels)), thi, tlo, nbrs)
-    return found[0] if found else None
-
-
-def _iter_exact_weight(adj, attack_n, gamma, max_twos=None,
-                       bound=None, nbrs=None) -> list[tuple[int, ...]]:
-    """Every valid labeling of weight ``gamma``, the minimum weight under the
-    2-count cap ``max_twos``, in lex order: the search of
-    ``_lex_first_labeling`` run to the end."""
-    found = []
-
-    def leaf(labels, wgt, twos):
-        found.append(tuple(labels))
-        return gamma, 0, max_twos
-
-    _search(adj, attack_n, range(len(adj)), (0, 1, 2), bound, gamma, leaf, max_twos,
-            nbrs=nbrs)
-    return found
-
-
-def _extremal_twos(adj, attack_n, gamma, maximize: bool, order=None, bound=None,
-                   nbrs=None) -> int:
-    """Extremal |V2| over valid labelings of weight ``gamma``, the minimum
-    weight, searched in ``order`` (default ``_search_order``).
-
-    Both directions start with an open 2-count window.  Maximizing tries
-    labels 2, 0, 1 and raises the 2-count floor past each count found;
-    minimizing tries labels 0, 1, 2 and lowers the 2-count cap below each
-    count found.
-    """
-    if order is None:
-        order = _search_order(adj)[0]
-    best = -1
-
-    def leaf(labels, wgt, twos):
-        nonlocal best
-        best = twos
-        return (gamma, twos + 1, None) if maximize else (gamma, 0, twos - 1)
-
-    _search(adj, attack_n, order, (2, 0, 1) if maximize else (0, 1, 2), bound, gamma, leaf,
-            nbrs=nbrs)
-    return best
 
 
 def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact minimum weight by branch and bound.
 
-    Every pass is a driver over one DFS core, ``_search``, and all passes of
-    a solve share one ``_Discharge``: the residual discharging bound (the
+    Every pass is one run of the DFS core ``_search``, and all passes of a
+    solve share one ``_Discharge``: the residual discharging bound (the
     paper's gamma >= 4n/(Delta + 3), applied to the undecided part) that
-    cuts subtrees.  The optimum pass labels vertices in ``_search_order``.
-    The cost grows with how far the bound falls below gamma and with the
-    width of the frontier that order leaves (``stats.frontier_width``), not
-    with the order of the graph.  The witness is the lexicographically
-    smallest minimum label vector with a 2-count in the window, found by a
-    second pass in id order; with ``opts.two_mode`` set, an extremal-count
-    pass in the optimum order first pins the window.  ``opts.enumerate_all``
-    checks the enumeration limit before any search and makes that id-order
-    pass list every minimum labeling; the witness is then the first one
-    listed in the window.
+    cuts subtrees.  The passes run in the order of the README's pass table:
+
+    * optimum: vertices in ``_search_order``, labels 0, 2, 1.  The incumbent
+      starts at the all-1 labeling, which is always valid, and each valid
+      labeling found drops the weight limit below its weight.  Its cost grows
+      with how far the bound falls below gamma and with the width of the
+      frontier that order leaves (``stats.frontier_width``), not with the
+      order of the graph; ``stats.nodes`` counts this pass.
+    * extremal count, when ``opts.two_mode`` is set: the optimum order at
+      weight limit gamma.  Fewest 2s tries labels 0, 1, 2 and drops the
+      2-cap below each count found; most 2s tries 2, 0, 1 and raises the
+      2-floor above it.  The last count found pins the window.
+    * witness: id order, labels 0, 1, 2, weight limit gamma, stopping at the
+      first valid labeling, which is the lexicographically smallest minimum
+      label vector with a 2-count in the window.  Or, with
+      ``opts.enumerate_all``, enumeration: the same search under the 2-cap
+      alone, run to the end, lists every minimum labeling in lex order, and
+      the witness is the first one listed in the window.  The enumeration
+      limit is checked before any search.
     """
     opts = opts or SolveOptions()
     if opts.enumerate_all:
@@ -542,26 +464,51 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
         if graph.order > limit:
             raise TooLargeError(graph.order, limit)
     start = time.perf_counter()
-    adj = _adj_list(graph)
+    n = graph.order
+    adj = graph.adjacency_masks()
     nbrs = graph.neighbor_tuples()
-    attack, cap = opts.attack_n, opts.max_twos
+    attack = opts.attack_n
     bound = _Discharge(adj, attack)
     order, _, width = _search_order(adj)
-    gamma, nodes = _bb_gamma(adj, attack, cap, order, bound, nbrs)
-    tlo, thi = 0, graph.order if cap is None else cap
+    cap = n if opts.max_twos is None else opts.max_twos
+    tlo, thi = 0, cap
+    gamma = n
+
+    def lower(labels, wgt, twos):
+        nonlocal gamma
+        gamma = wgt
+        return wgt - 1, 0, cap
+
+    nodes = _search(adj, nbrs, attack, bound, order, (0, 2, 1), n - 1, 0, cap, lower)
     if opts.two_mode != "any":
-        tlo = thi = _extremal_twos(adj, attack, gamma, opts.two_mode == "maximize_twos",
-                                   order, bound, nbrs)
+        most = opts.two_mode == "maximize_twos"
+
+        def extremal(labels, wgt, twos):
+            nonlocal tlo, thi
+            tlo = thi = twos
+            return (gamma, twos + 1, n) if most else (gamma, 0, twos - 1)
+
+        _search(adj, nbrs, attack, bound, order, (2, 0, 1) if most else (0, 1, 2),
+                gamma, 0, n, extremal)
+    found = []
     all_minimum = feasible = None
     if opts.enumerate_all:
-        found = _iter_exact_weight(adj, attack, gamma, cap, bound, nbrs)
+        def record_all(labels, wgt, twos):
+            found.append(tuple(labels))
+            return gamma, 0, cap
+
+        _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, 0, cap, record_all)
         all_minimum = tuple(Labeling(graph, labs) for labs in found)
         feasible = tuple(sorted({labs.count(2) for labs in found}))
         first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
     else:
-        first = _lex_first_labeling(adj, attack, gamma, thi, tlo, bound, nbrs)
+        def stop(labels, wgt, twos):
+            found.append(tuple(labels))
+
+        _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, tlo, thi, stop)
+        first = found[0]
     stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
-    return SolveResult(gamma, Labeling(graph, first), graph.order - gamma, stats,
+    return SolveResult(gamma, Labeling(graph, first), n - gamma, stats,
                        all_minimum, feasible)
 
 
@@ -607,7 +554,7 @@ def check_eccd(graph: Graph, eccd: EccdSet) -> None:
 
 def p5_candidates(graph: Graph) -> list[tuple[int, int, int, int, int]]:
     """Every P5 path as an ordered tuple, smaller endpoint first."""
-    adj = _adj_list(graph)
+    adj = graph.adjacency_masks()
     out = []
     for a in range(graph.order):
         abit = 1 << a
@@ -622,7 +569,7 @@ def p5_candidates(graph: Graph) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
+def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
     """Maximum packing size via the oriented-matching reduction.
 
     Any valid packing decomposes into a vertex-disjoint set of oriented end
@@ -742,6 +689,7 @@ def _max_eccd_engine(adj: list[int]) -> tuple[int, tuple | None, int]:
         if room <= best_score:
             break
         sweep(0, s, 0, 0, 0, 0)
+    del sweep  # ``sweep`` refers to itself: drop the cycle with the sweep
     return best_score, best_sol, nodes
 
 
@@ -794,7 +742,7 @@ def _leaf_dfs(adj, order, outside, pmask, k, used, cost, leaves, best):
 
 def max_eccd(graph: Graph) -> EccdSet:
     """A maximum end-coupled center-disjoint P5 packing, deterministically."""
-    score, sol, _ = _max_eccd_engine(_adj_list(graph))
+    score, sol, _ = _max_eccd_engine(graph.adjacency_masks())
     return _assemble_eccd(graph, score, sol)
 
 
@@ -839,7 +787,7 @@ def eccd_to_labeling(graph: Graph, eccd: EccdSet) -> Labeling:
 def gamma_via_eccd(graph: Graph) -> SolveResult:
     """Minimum weight via the maximum packing; attack number 2 only."""
     start = time.perf_counter()
-    score, sol, nodes = _max_eccd_engine(_adj_list(graph))
+    score, sol, nodes = _max_eccd_engine(graph.adjacency_masks())
     eccd = _assemble_eccd(graph, score, sol)
     witness = eccd_to_labeling(graph, eccd)
     gamma = graph.order - len(eccd)
@@ -903,7 +851,7 @@ def two_extremal_minimum(graph: Graph, mode: str,
                                                 enumerate_all=enumerate_all))
 
 
-def _packing_pays(adj: list[int]) -> bool:
+def _packing_pays(adj: Sequence[int]) -> bool:
     """Whether ``auto`` takes the packing route past ``_ECCD_MAX_ORDER``: when
     the id order, which the branch and bound's witness pass walks, leaves a
     frontier wider than 10, or over a third of the vertices have degree <= 1,
@@ -932,7 +880,7 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     and bound otherwise."""
     opts = opts or SolveOptions()
     if opts.method == "eccd" or opts.method == "auto" and opts._packing_fits() and (
-            graph.order <= _ECCD_MAX_ORDER or _packing_pays(_adj_list(graph))):
+            graph.order <= _ECCD_MAX_ORDER or _packing_pays(graph.adjacency_masks())):
         return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 
@@ -962,7 +910,7 @@ def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, d
     Returns the spanning subgraph and the 2-vertex -> private-0 matching.
     """
     _require_minimum(graph, labeling)
-    adj = _adj_list(graph)
+    adj = list(graph.adjacency_masks())  # edited below
     zero_mask = labeling.label_mask(0)
     two_mask = labeling.label_mask(2)
     matching: dict[int, int] = {}

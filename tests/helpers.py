@@ -155,7 +155,7 @@ def eccd_set_score(adj: list[int], inners) -> int | None:
 
 def bb_gamma_degree_order(adj: list[int], attack_n: int,
                           max_twos: int | None) -> tuple[int, int]:
-    """The branch and bound of ``solver._bb_gamma`` over vertices in
+    """The optimum pass of ``solver.gamma_bruteforce`` over vertices in
     descending-degree order (ties by id), the order it used before
     ``seal_order``; returns (gamma, nodes).  The vertex order may change the
     node count but never gamma.

@@ -244,7 +244,10 @@ def test_no_masks_outside_the_searches(monkeypatch):
     assert [validate(lab, attack).valid for attack in (1, 2, 3)] == [True, True, False]
     to_dot(g, lab)
     write_graph_file(g, lab)
-    assert structured_document(g, lab)["epn_count"] == len(epn_set(lab))
+    doc = structured_document(g, lab)
+    assert doc["epn_count"] == len(epn_set(lab))
+    assert doc["public_count"] == len(public_set(lab))
+    assert doc["partition_sizes"] == dict(zip(("v0", "v1", "v2"), map(len, partition(lab))))
     assert verify_pattern(pattern, [(14, 14)])[0].valid
     assert g._masks is None and patch.graph._masks is None
     assert built == []

@@ -21,11 +21,9 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       two_extremal_minimum, validate)
 from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of
-from tworoman.solver import (_assemble_eccd, _bb_gamma, _Discharge, _adj_list,
-                             _eccd_gain_table, _extremal_twos,
-                             _iter_exact_weight, _max_eccd_engine,
-                             _min_cost_leaf_assignment, _packing_pays,
-                             _seal_scan, _search, _search_order)
+from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table,
+                             _max_eccd_engine, _min_cost_leaf_assignment,
+                             _packing_pays, _seal_scan, _search, _search_order)
 
 
 def fam(kind, *params):
@@ -114,7 +112,7 @@ class TestDischargeBound:
         for _ in range(80):
             n = rng.randint(1, 7)
             g = _random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.7)))
-            adj = _adj_list(g)
+            adj = g.adjacency_masks()
             for attack in (1, 2, 3):
                 minima = naive_minimum_labelings(g, attack)
                 gamma = sum(minima[0])
@@ -138,7 +136,7 @@ class TestDischargeBound:
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
-        adj = _adj_list(g)
+        adj = g.adjacency_masks()
         for attack in (1, 2):
             assert residual_bound(adj, attack, 0b1111, 0) == 4
             assert residual_bound(adj, attack, 0b1100, 0b0001) == 2
@@ -174,20 +172,65 @@ class TestDischargeBound:
 
 class TestSearchCore:
     def test_leaf_can_stop_the_search(self):
-        adj = _adj_list(fam("cycle", 10))
-        gamma = _bb_gamma(adj, 2, None)[0]
+        g = fam("cycle", 10)
+        adj, nbrs = g.adjacency_masks(), g.neighbor_tuples()
+        bound = _Discharge(adj, 2)
+        gamma = gamma_bruteforce(g).gamma
         leaves = []
 
         def keep(labels, wgt, twos):
             leaves.append(tuple(labels))
-            return gamma, 0, None
+            return gamma, 0, 10
 
-        every = _search(adj, 2, range(10), (0, 1, 2), None, gamma, keep)
-        assert leaves == _iter_exact_weight(adj, 2, gamma) and len(leaves) > 1
+        every = _search(adj, nbrs, 2, bound, range(10), (0, 1, 2), gamma, 0, 10, keep)
+        minima = [m.labels for m in enumerate_minimum_labelings(g)]
+        assert leaves == minima and len(leaves) > 1
         leaves.clear()
-        first = _search(adj, 2, range(10), (0, 1, 2), None, gamma,
+        first = _search(adj, nbrs, 2, bound, range(10), (0, 1, 2), gamma, 0, 10,
                         lambda labels, wgt, twos: leaves.append(tuple(labels)))
-        assert len(leaves) == 1 and first < every
+        assert leaves == minima[:1] and first < every
+
+    @pytest.mark.parametrize("opts", [
+        SolveOptions(),
+        SolveOptions(max_twos=1),
+        SolveOptions(two_mode="minimize_twos"),
+        SolveOptions(two_mode="maximize_twos"),
+        SolveOptions(enumerate_all=True),
+        SolveOptions(enumerate_all=True, two_mode="maximize_twos"),
+    ], ids=["plain", "capped", "minimize_twos", "maximize_twos", "enumerate_all",
+            "enumerate_all-maximize_twos"])
+    def test_passes_follow_the_readme_table(self, monkeypatch, opts):
+        # One _search call per row of the README pass table, in its order:
+        # optimum, the extremal count under a two mode, then the witness or
+        # the enumeration; each as (vertex order, labels, weight limit, window).
+        g = fam("grid", 3, 4)
+        n = g.order
+        plain = gamma_bruteforce(g, opts)
+        order = list(range(n))
+        random.Random(15).shuffle(order)  # a search order unlike the id order
+        calls = []
+        real = solver_module._search
+
+        def spy(adj, nbrs, attack_n, bound, vertices, labs, wmax, tlo, thi, leaf):
+            calls.append((list(vertices), labs, wmax, tlo, thi))
+            return real(adj, nbrs, attack_n, bound, vertices, labs, wmax, tlo, thi, leaf)
+
+        monkeypatch.setattr(solver_module, "_search_order", lambda adj: (order, 0, 0))
+        monkeypatch.setattr(solver_module, "_search", spy)
+        result = gamma_bruteforce(g, opts)
+        assert ((result.gamma, result.labeling, result.all_minimum)
+                == (plain.gamma, plain.labeling, plain.all_minimum))
+        gamma, ids = result.gamma, list(range(n))
+        cap = n if opts.max_twos is None else opts.max_twos
+        want = [(order, (0, 2, 1), n - 1, 0, cap)]
+        window = (0, cap)
+        if opts.two_mode != "any":
+            labs = (2, 0, 1) if opts.two_mode == "maximize_twos" else (0, 1, 2)
+            want.append((order, labs, gamma, 0, n))
+            window = (result.labeling.labels.count(2),) * 2
+        # the enumeration lists every minimum labeling under the 2-cap alone
+        want.append((ids, (0, 1, 2), gamma, *((0, cap) if opts.enumerate_all else window)))
+        assert calls == want
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_recursion_past_the_interpreter_limit(self, kind):
@@ -209,7 +252,7 @@ class TestSealOrder:
         fam("star", 4), fam("grid", 3, 4), fam("complete", 5),
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
-        adj = _adj_list(g)
+        adj = g.adjacency_masks()
         order = seal_order(adj)
         assert sorted(order) == list(range(g.order))
         placed = 0
@@ -224,7 +267,7 @@ class TestSealOrder:
 
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
-        adj = _adj_list(g)
+        adj = g.adjacency_masks()
         order = seal_order(adj)
         assert order[0] == 0
         placed = 0
@@ -240,22 +283,23 @@ class TestSealOrder:
         for _ in range(40):
             n = rng.randint(0, 13)
             g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
-            adj = _adj_list(g)
+            adj = g.adjacency_masks()
             for cap in (None, 0, 1, 2):
                 want = bb_gamma_degree_order(adj, attack, cap)[0]
-                assert _bb_gamma(adj, attack, cap)[0] == want, (n, list(g.edges()), attack, cap)
+                got = gamma_bruteforce(g, SolveOptions(attack_n=attack, max_twos=cap)).gamma
+                assert got == want, (n, list(g.edges()), attack, cap)
 
     def test_extremal_twos_match_enumeration(self):
         rng = random.Random(77)
         for _ in range(40):
             n = rng.randint(1, 11)
             g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
-            adj = _adj_list(g)
-            gamma = _bb_gamma(adj, 2, None)[0]
-            counts = {labs.count(2) for labs in _iter_exact_weight(adj, 2, gamma)}
+            counts = {m.labels.count(2) for m in enumerate_minimum_labelings(g)}
             case = (n, list(g.edges()))
-            assert _extremal_twos(adj, 2, gamma, maximize=False) == min(counts), case
-            assert _extremal_twos(adj, 2, gamma, maximize=True) == max(counts), case
+            fewest = two_extremal_minimum(g, "minimize_twos").labeling.labels
+            most = two_extremal_minimum(g, "maximize_twos").labeling.labels
+            assert fewest.count(2) == min(counts), case
+            assert most.count(2) == max(counts), case
 
     @pytest.mark.parametrize("g,gamma,limit", [
         (fam("grid", 4, 4), 11, 1_000),
@@ -270,10 +314,11 @@ class TestSealOrder:
         assert result.stats.nodes <= limit
 
     def test_grid4x8_node_pin(self):
-        # optimum pass only: the witness pass walks this grid in id order
-        gamma, nodes = _bb_gamma(_adj_list(fam("grid", 4, 8)), 2, None)
-        assert gamma == 22
-        assert nodes <= 100_000
+        # stats.nodes counts the optimum pass only; the witness pass walks
+        # this grid in id order
+        result = gamma_bruteforce(fam("grid", 4, 8))
+        assert result.gamma == 22
+        assert result.stats.nodes <= 100_000
 
     @staticmethod
     def _profile(adj, order):
@@ -294,7 +339,7 @@ class TestSealOrder:
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete",
             "grid4x8", "cycle", "sierpinski"])
     def test_started_scan_breaks_ties_by_distance(self, g):
-        adj = _adj_list(g)
+        adj = g.adjacency_masks()
         for start in range(min(g.order, 3)):
             dist = {start: 0}
             queue = [start]
@@ -325,7 +370,7 @@ class TestSealOrder:
                   for _ in range(60)]
         cases += [fam("cycle", 15), sierpinski_graph(3), build_graph(0, [])]
         for g in cases:
-            adj = _adj_list(g)
+            adj = g.adjacency_masks()
             order, score, width = _search_order(adj)
             assert sorted(order) == list(range(g.order))
             assert (score, width) == self._profile(adj, order)
@@ -343,7 +388,7 @@ class TestSealOrder:
             assert order == plain[0] or (order, score, width) in rivals
         # Row-major grid 3x6: the plain scan sweeps the rows of 6, and a
         # corner start (0, 5 and 12 are the first corners) sweeps the columns.
-        adj = _adj_list(fam("grid", 3, 6))
+        adj = fam("grid", 3, 6).adjacency_masks()
         order, _, width = _search_order(adj)
         assert _seal_scan(adj)[2] == 6 and width == 3 and order[0] in (0, 5, 12)
 
@@ -356,30 +401,8 @@ class TestSealOrder:
         assert high <= 2 * low
         assert wide.stats.frontier_width == tall.stats.frontier_width == rows
 
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_extremal_twos_searches_in_the_optimum_order(self, monkeypatch, maximize):
-        g = fam("grid", 3, 4)
-        adj = _adj_list(g)
-        gamma = _bb_gamma(adj, 2, None)[0]
-        order = list(range(g.order))
-        random.Random(15).shuffle(order)
-        seen = []
-        step = _Discharge.step
-
-        def spy(self, state, v, und2, two_mask):
-            seen.append((g.order - 1 - und2.bit_count(), v))
-            return step(self, state, v, und2, two_mask)
-
-        monkeypatch.setattr(solver_module, "_search_order", lambda a: (order, 0, 0))
-        monkeypatch.setattr(_Discharge, "step", spy)
-        _bb_gamma(adj, 2, None)
-        assert seen and all(order[depth] == v for depth, v in seen)
-        seen.clear()
-        _extremal_twos(adj, 2, gamma, maximize=maximize)
-        assert seen and all(order[depth] == v for depth, v in seen)
-
     def test_frontier_width_stat(self):
-        assert _search_order(_adj_list(fam("grid", 4, 8)))[2] == 4
+        assert _search_order(fam("grid", 4, 8).adjacency_masks())[2] == 4
         assert gamma_bruteforce(fam("grid", 5, 3)).stats.frontier_width == 3
         assert gamma_bruteforce(build_graph(0, [])).stats.frontier_width == 0
         assert two_extremal_minimum(fam("grid", 3, 5), "maximize_twos").stats.frontier_width == 3
@@ -517,7 +540,7 @@ class TestEccdPruning:
 
     @staticmethod
     def _assert_same_as_sweep(g):
-        adj = _adj_list(g)
+        adj = g.adjacency_masks()
         score, sol, _ = eccd_sweep_reference(adj)
         assert _max_eccd_engine(adj)[:2] == (score, sol)
         packing = _assemble_eccd(g, score, sol)
@@ -559,7 +582,7 @@ class TestEccdPruning:
         rng = random.Random(405)
         for _ in range(60):
             n = rng.randint(5, 9)
-            adj = _adj_list(_random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))))
+            adj = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))).adjacency_masks()
             cands = [v for v in range(n) if adj[v].bit_count() >= 2]
             top = _eccd_gain_table([adj[v].bit_count() - 1 for v in cands])
             for s in range(2, min(n // 2, len(cands)) + 1):
@@ -629,19 +652,30 @@ class TestEccdPruning:
         assert result.gamma == 16
         assert result.stats.nodes <= 100
 
-    @pytest.mark.parametrize("run, g", [(max_eccd, fam("grid", 4, 5)),
-                                        (gamma_via_eccd, tilings.ball_graph("triangular", 2))],
-                             ids=["max_eccd-grid4x5", "gamma_via_eccd-triball2"])
+    @pytest.mark.parametrize("run, g", [
+        (max_eccd, fam("grid", 4, 5)),
+        (gamma_via_eccd, tilings.ball_graph("triangular", 2)),
+        (gamma_bruteforce, fam("grid", 4, 5)),
+        (lambda g: gamma_bruteforce(g, SolveOptions(max_twos=3)), fam("grid", 3, 4)),
+        (lambda g: gamma_bruteforce(g, SolveOptions(attack_n=3)), fam("cycle", 10)),
+        (lambda g: gamma_bruteforce(g, SolveOptions(two_mode="minimize_twos")),
+         fam("grid", 3, 4)),
+        (lambda g: gamma_bruteforce(g, SolveOptions(enumerate_all=True,
+                                                    two_mode="maximize_twos")),
+         build_graph(12, [(u, v) for u in range(6) for v in range(6, 12)])),
+    ], ids=["max_eccd-grid4x5", "gamma_via_eccd-triball2", "bb-grid4x5", "bb-capped-grid3x4",
+            "bb-attack3-c10", "bb-min-twos-grid3x4", "bb-all-max-twos-k66"])
     def test_leaves_no_cyclic_garbage(self, run, g):
-        # The CLI runs a command with the cyclic collector off, so a packing
-        # search may leave only a constant number of cycles: under 50
-        # objects here, thousands if each leaf assignment left a cycle.
+        # The CLI runs a command with the cyclic collector off, so a search
+        # may leave no reference cycle: a self-recursive closure left one per
+        # branch-and-bound pass (332 objects on K6,6 enumerating under a two
+        # mode), and one per leaf assignment of the packing sweep (thousands).
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             run(g)
-            assert gc.collect() <= 100
+            assert gc.collect() == 0
         finally:
             if was_enabled:
                 gc.enable()
@@ -929,18 +963,18 @@ class TestSolveDispatch:
                  for _ in range(20)]
         cases += [fam("grid", 3, 10), fam("grid", 3, 11), fam("star", 23), fam("cycle", 26)]
         for g in cases:
-            adj = _adj_list(g)
+            adj = g.adjacency_masks()
             width = TestSealOrder._profile(adj, range(g.order))[1]
             low = sum(a.bit_count() <= 1 for a in adj)
             assert _packing_pays(adj) == (width > 10 or 3 * low > g.order)
-        assert not _packing_pays(_adj_list(fam("grid", 3, 10)))  # width 10
-        assert _packing_pays(_adj_list(fam("grid", 3, 11)))  # width 11
-        assert _packing_pays(_adj_list(fam("star", 23)))  # 23 leaves
+        assert not _packing_pays(fam("grid", 3, 10).adjacency_masks())  # width 10
+        assert _packing_pays(fam("grid", 3, 11).adjacency_masks())  # width 11
+        assert _packing_pays(fam("star", 23).adjacency_masks())  # 23 leaves
         # Path 0-...-15 with leaves 16-23 on 0-6 and 15: 8 of 24 vertices have
         # degree 1, a third; one more leaf, on 7, makes 9 of 25.
         comb = [(v, v + 1) for v in range(15)] + [(v, 16 + v) for v in range(7)] + [(15, 23)]
-        assert not _packing_pays(_adj_list(build_graph(24, comb)))
-        assert _packing_pays(_adj_list(build_graph(25, comb + [(7, 24)])))
+        assert not _packing_pays(build_graph(24, comb).adjacency_masks())
+        assert _packing_pays(build_graph(25, comb + [(7, 24)]).adjacency_masks())
         g = _random_graph(random.Random(20), 24, 0.15)
         result = solve(g)
         assert result.stats.method == "eccd"
@@ -957,7 +991,7 @@ class TestSolveDispatch:
         for _ in range(300):
             n = rng.randint(23, 40)
             g = _random_graph(rng, n, rng.choice((0.05, 0.1, 0.15, 0.2, 0.3)))
-            adj = _adj_list(g)
+            adj = g.adjacency_masks()
             reach = [a.bit_length() - 1 for a in adj]
             width = max(sum(reach[u] > v for u in range(v + 1)) for v in range(n))
             low = sum(a.bit_count() <= 1 for a in adj)
