@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Sequence
+from heapq import heapify, heappop, heappush, heappushpop
 from itertools import accumulate, combinations
 from math import lcm
 
@@ -260,9 +261,39 @@ class _Discharge:
 # ---------------------------------------------------------------------------
 
 
-def _seal_scan(adj: Sequence[int], start: int | None = None,
-               cap: int | None = None) -> tuple[list[int], int, int] | None:
-    """One greedy seal order with its frontier profile: (order, score, width).
+def _frontier(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]) -> tuple[int, int]:
+    """The frontier profile of a vertex order: (score, width).
+
+    The frontier of a prefix is its vertices that still have a neighbor
+    after it, so its largest size is the vertex separation of the order.
+    ``score`` sums the squared frontier size over all prefixes and ``width``
+    is the largest one.  A vertex stays on the frontier from its own
+    position up to the position of its last neighbor, so one sweep that
+    counts the ends at each position gives every prefix in O(n + m).
+    """
+    n = len(nbrs)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    at = pos.__getitem__
+    ends = [0] * n
+    score = width = live = 0
+    for i, v in enumerate(order):
+        t = nbrs[v]
+        if t:
+            last = max(map(at, t))
+            if last > i:
+                ends[last] += 1
+                live += 1
+        live -= ends[i]
+        score += live * live
+        if live > width:
+            width = live
+    return score, width
+
+
+def _seal_scan(nbrs: Sequence[tuple[int, ...]], start: int | None = None) -> list[int]:
+    """One greedy seal order.
 
     Each next vertex has the most already-ordered neighbors, then the fewest
     unordered neighbors, then the lowest tie rank; so the order completes
@@ -272,97 +303,73 @@ def _seal_scan(adj: Sequence[int], start: int | None = None,
     ``start`` the order begins there and the tie rank is (BFS distance from
     ``start``, id).
 
-    The frontier of a prefix is its vertices that still have an unordered
-    neighbor; ``score`` sums the squared frontier width over all prefixes
-    and ``width`` is the largest one.  The scan gives up and returns None
-    once the score reaches ``cap``.  Only unordered neighbors of ordered
-    vertices can win while there are any, so they form the candidate pool,
-    and each vertex keeps its key as one integer that drops by a constant
-    when a neighbor is ordered.
+    At a fixed count of ordered neighbors, fewest unordered is lowest degree,
+    so each vertex keeps its key as one int, (n^2 + degree) n^2 + distance n
+    + id, that drops by a constant when a neighbor is ordered.  A heap holds
+    the keys and skips an entry whose key has dropped since: O(m log n).
+    Along a strip the key that drops last is the next minimum, so it goes in
+    with the next pop, which then returns it without a sift.
     """
-    n = len(adj)
-    base = n * (n + 1)
-    if start is None:
-        by_rank = list(range(n))
-        key = [(base + a.bit_count()) * n + u for u, a in enumerate(adj)]
-    else:
-        by_rank = []
-        seen = layer = 1 << start
-        while layer:  # BFS layers, each in id order
-            grown = 0
-            while layer:
-                b = layer & -layer
-                layer ^= b
-                u = b.bit_length() - 1
-                by_rank.append(u)
-                grown |= adj[u]
-            layer = grown & ~seen
-            seen |= layer
-        by_rank.extend(iter_bits(((1 << n) - 1) & ~seen))
-        key = [0] * n  # start keeps key 0 (rank 0), below every other key
-        for r in range(1, n):
-            u = by_rank[r]
-            key[u] = (base + adj[u].bit_count()) * n + r
-    drop = n * (n + 2)  # one more ordered neighbor, one fewer unordered
+    n = len(nbrs)
+    nn = n * n
+    key = [(nn + len(t)) * nn + u for u, t in enumerate(nbrs)]
+    if start is not None:
+        # Vertices the BFS misses keep distance 0: they come after the whole
+        # component of ``start`` and tie only among themselves.
+        dist = [-1] * n
+        dist[start] = 0
+        queue = [start]
+        for u in queue:
+            d = dist[u] + 1
+            for w in nbrs[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    key[w] += d * n
+                    queue.append(w)
+        key[start] = start  # below every other key
+    drop = nn * (n + 1)  # one more ordered neighbor outweighs any degree
+    heap = key[:]
+    heapify(heap)
     order = []
-    left = (1 << n) - 1
-    pool = front = 0
-    score = top = 0
-    if cap is None:
-        cap = n ** 3 + 1  # above any score
-    while left:
-        m = pool or left
-        k = key[(m & -m).bit_length() - 1]
-        m &= m - 1
-        while m:
-            b = m & -m
-            m ^= b
-            c = key[b.bit_length() - 1]
-            if c < k:
-                k = c
-        v = by_rank[k % n]
+    held = None  # the last dropped key goes in with the next pop
+    for _ in range(n):
+        k = heappop(heap) if held is None else heappushpop(heap, held)
+        v = k % n
+        while key[v] != k:
+            k = heappop(heap)
+            v = k % n
+        key[v] = -1
         order.append(v)
-        left ^= 1 << v
-        m = adj[v] & left
-        pool = (pool | m) & left
-        if m:
-            front |= 1 << v
-        while m:
-            b = m & -m
-            m ^= b
-            key[b.bit_length() - 1] -= drop
-        m = adj[v] & front
-        while m:  # ordered neighbors that may have lost their last unordered one
-            b = m & -m
-            m ^= b
-            if adj[b.bit_length() - 1] & left == 0:
-                front ^= b
-        width = front.bit_count()
-        score += width * width
-        if score >= cap:
-            return None
-        if width > top:
-            top = width
-    return order, score, top
+        held = None
+        for u in nbrs[v]:
+            k = key[u]
+            if k >= 0:
+                key[u] = k = k - drop
+                if held is not None:
+                    heappush(heap, held)
+                held = k
+    return order
 
 
-def _search_order(adj: Sequence[int]) -> tuple[list[int], int, int]:
+def _search_order(nbrs: Sequence[tuple[int, ...]]) -> tuple[list[int], int, int]:
     """The vertex order of the optimum and extremal-count searches.
 
     The search cost grows with the frontier width the order leaves, and the
     plain seal order's id tie-break sweeps a row-major grid along its rows.
     So the candidates are the plain seal order and the seal orders started
     at each of the first three minimum-degree vertices; a candidate replaces
-    the plain order only with a strictly lower score, the sum of squared
-    frontier widths, so a frontier that stays wide counts for more than a
-    brief peak.  Returns (order, score, width) of the winner.
+    the plain order only with a strictly lower ``_frontier`` score, the sum
+    of squared frontier widths, so a frontier that stays wide counts for
+    more than a brief peak.  Returns (order, score, width) of the winner.
     """
-    best = _seal_scan(adj)
-    if adj:
-        low = min(a.bit_count() for a in adj)
-        starts = [v for v, a in enumerate(adj) if a.bit_count() == low][:3]
-        for s in starts:
-            best = _seal_scan(adj, s, best[1]) or best
+    low = min(map(len, nbrs), default=0)
+    starts = [v for v, t in enumerate(nbrs) if len(t) == low][:3]
+    best = None
+    for start in [None, *starts]:
+        order = _seal_scan(nbrs, start)
+        score, width = _frontier(nbrs, order)
+        if best is None or score < best[1]:
+            best = order, score, width
     return best
 
 
@@ -469,7 +476,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     nbrs = graph.neighbor_tuples()
     attack = opts.attack_n
     bound = _Discharge(adj, attack)
-    order, _, width = _search_order(adj)
+    order, _, width = _search_order(nbrs)
     cap = n if opts.max_twos is None else opts.max_twos
     tlo, thi = 0, cap
     gamma = n
@@ -851,7 +858,7 @@ def two_extremal_minimum(graph: Graph, mode: str,
                                                 enumerate_all=enumerate_all))
 
 
-def _packing_pays(adj: Sequence[int]) -> bool:
+def _packing_pays(nbrs: Sequence[tuple[int, ...]]) -> bool:
     """Whether ``auto`` takes the packing route past ``_ECCD_MAX_ORDER``: when
     the id order, which the branch and bound's witness pass walks, leaves a
     frontier wider than 10, or over a third of the vertices have degree <= 1,
@@ -860,18 +867,8 @@ def _packing_pays(adj: Sequence[int]) -> bool:
     random graphs and trees meet one; both thresholds were fitted on seeded
     graphs of order 23-30.
     """
-    reach = [a.bit_length() - 1 for a in adj]  # highest neighbor id
-    # Frontier at v: the u <= v with reach[u] > v.  Sweep v up, adding v when
-    # its reach is above it and dropping the earlier u whose reach ends at v.
-    ends = [0] * len(adj)
-    for u, r in enumerate(reach):
-        if r > u:
-            ends[r] += 1
-    live = width = 0
-    for v, r in enumerate(reach):
-        live += (r > v) - ends[v]
-        width = max(width, live)
-    return width > 10 or 3 * sum(a.bit_count() <= 1 for a in adj) > len(adj)
+    n = len(nbrs)
+    return _frontier(nbrs, range(n))[1] > 10 or 3 * sum(len(t) <= 1 for t in nbrs) > n
 
 
 def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
@@ -880,7 +877,7 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
     and bound otherwise."""
     opts = opts or SolveOptions()
     if opts.method == "eccd" or opts.method == "auto" and opts._packing_fits() and (
-            graph.order <= _ECCD_MAX_ORDER or _packing_pays(graph.adjacency_masks())):
+            graph.order <= _ECCD_MAX_ORDER or _packing_pays(graph.neighbor_tuples())):
         return gamma_via_eccd(graph)
     return gamma_bruteforce(graph, opts)
 

@@ -135,9 +135,23 @@ def residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int) 
     return _Discharge(adj, attack_n).state(und_mask, two_mask)[2]
 
 
-def seal_order(adj: list[int]) -> list[int]:
+def seal_order(nbrs) -> list[int]:
     """The plain seal order: ``solver._seal_scan`` with id tie-breaks."""
-    return _seal_scan(adj)[0]
+    return _seal_scan(nbrs)
+
+
+def frontier_reference(nbrs, order) -> tuple[int, int]:
+    """(sum of squared frontier widths, largest width) over the prefixes of
+    ``order``, each frontier counted from scratch: the quadratic reference
+    for ``solver._frontier``."""
+    adj = [mask_of(t) for t in nbrs]
+    placed = score = top = 0
+    for v in order:
+        placed |= 1 << v
+        width = sum(1 for u in iter_bits(placed) if adj[u] & ~placed)
+        score += width * width
+        top = max(top, width)
+    return score, top
 
 
 def eccd_set_score(adj: list[int], inners) -> int | None:

@@ -10,7 +10,8 @@ from helpers import (allepn_labelings, bb_gamma_degree_order, eccd_set_score,
                      eccd_showcase_graph, eccd_sweep_reference, graphs,
                      max_eccd_reference, naive_gamma, naive_minimum_labelings,
                      naive_valid_labelings, random_graphs, residual_bound,
-                     sampled_connected_graphs, seal_order, sierpinski_graph)
+                     frontier_reference, sampled_connected_graphs, seal_order,
+                     sierpinski_graph)
 from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
@@ -21,7 +22,7 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       two_extremal_minimum, validate)
 from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of
-from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table,
+from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table, _frontier,
                              _max_eccd_engine, _min_cost_leaf_assignment,
                              _packing_pays, _seal_scan, _search, _search_order)
 
@@ -104,8 +105,8 @@ class TestDischargeBound:
     """The residual bound never exceeds what a minimum labeling still needs."""
 
     @staticmethod
-    def _prefix_orders(adj):
-        return seal_order(adj), _search_order(adj)[0], list(range(len(adj)))
+    def _prefix_orders(nbrs):
+        return seal_order(nbrs), _search_order(nbrs)[0], list(range(len(nbrs)))
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
         rng = random.Random(2023)
@@ -118,7 +119,7 @@ class TestDischargeBound:
                 gamma = sum(minima[0])
                 bound = _Discharge(adj, attack)
                 for labels in minima:
-                    for order in self._prefix_orders(adj):
+                    for order in self._prefix_orders(g.neighbor_tuples()):
                         und = (1 << n) - 1
                         twos = wgt = 0
                         state = bound.state(und)
@@ -215,7 +216,7 @@ class TestSearchCore:
             calls.append((list(vertices), labs, wmax, tlo, thi))
             return real(adj, nbrs, attack_n, bound, vertices, labs, wmax, tlo, thi, leaf)
 
-        monkeypatch.setattr(solver_module, "_search_order", lambda adj: (order, 0, 0))
+        monkeypatch.setattr(solver_module, "_search_order", lambda nbrs: (order, 0, 0))
         monkeypatch.setattr(solver_module, "_search", spy)
         result = gamma_bruteforce(g, opts)
         assert ((result.gamma, result.labeling, result.all_minimum)
@@ -243,6 +244,16 @@ class TestSearchCore:
         assert sys.getrecursionlimit() == limit
 
 
+SCAN_CORPUS = [
+    build_graph(0, []), build_graph(1, []), build_graph(5, []),
+    build_graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
+    fam("star", 4), fam("grid", 3, 4), fam("complete", 5), fam("grid", 4, 8),
+    fam("cycle", 9), sierpinski_graph(2),
+]
+SCAN_IDS = ["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete",
+            "grid4x8", "cycle", "sierpinski"]
+
+
 class TestSealOrder:
     """The frontier vertex order of the optimum and extremal searches."""
 
@@ -253,7 +264,7 @@ class TestSealOrder:
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
         adj = g.adjacency_masks()
-        order = seal_order(adj)
+        order = seal_order(g.neighbor_tuples())
         assert sorted(order) == list(range(g.order))
         placed = 0
         for v in order:
@@ -268,7 +279,7 @@ class TestSealOrder:
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
         adj = g.adjacency_masks()
-        order = seal_order(adj)
+        order = seal_order(g.neighbor_tuples())
         assert order[0] == 0
         placed = 0
         for v in order:
@@ -320,26 +331,9 @@ class TestSealOrder:
         assert result.gamma == 22
         assert result.stats.nodes <= 100_000
 
-    @staticmethod
-    def _profile(adj, order):
-        """(sum of squared frontier widths, largest width) over the prefixes."""
-        placed = score = top = 0
-        for v in order:
-            placed |= 1 << v
-            width = sum(1 for u in iter_bits(placed) if adj[u] & ~placed)
-            score += width * width
-            top = max(top, width)
-        return score, top
-
-    @pytest.mark.parametrize("g", [
-        build_graph(0, []), build_graph(1, []), build_graph(5, []),
-        build_graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
-        fam("star", 4), fam("grid", 3, 4), fam("complete", 5), fam("grid", 4, 8),
-        fam("cycle", 9), sierpinski_graph(2),
-    ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete",
-            "grid4x8", "cycle", "sierpinski"])
+    @pytest.mark.parametrize("g", SCAN_CORPUS, ids=SCAN_IDS)
     def test_started_scan_breaks_ties_by_distance(self, g):
-        adj = g.adjacency_masks()
+        adj, nbrs = g.adjacency_masks(), g.neighbor_tuples()
         for start in range(min(g.order, 3)):
             dist = {start: 0}
             queue = [start]
@@ -348,10 +342,9 @@ class TestSealOrder:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         queue.append(w)
-            order, score, width = _seal_scan(adj, start)
+            order = _seal_scan(nbrs, start)
             assert order[0] == start
             assert sorted(order) == list(range(g.order))
-            assert (score, width) == self._profile(adj, order)
             placed = 1 << start
             for v in order[1:]:
                 left = (1 << g.order) - 1 & ~placed
@@ -370,27 +363,54 @@ class TestSealOrder:
                   for _ in range(60)]
         cases += [fam("cycle", 15), sierpinski_graph(3), build_graph(0, [])]
         for g in cases:
-            adj = g.adjacency_masks()
-            order, score, width = _search_order(adj)
+            nbrs = g.neighbor_tuples()
+            order, score, width = _search_order(nbrs)
             assert sorted(order) == list(range(g.order))
-            assert (score, width) == self._profile(adj, order)
+            assert (score, width) == frontier_reference(nbrs, order)
             # The plain scan is kept unless a rival scores strictly lower.
-            plain = _seal_scan(adj)
-            assert score <= plain[1]
-            if order != plain[0]:
-                assert score < plain[1]
-            # The only rivals are the uncapped scans started at the first
-            # three minimum-degree vertices, and none of them scores lower.
-            low = min((a.bit_count() for a in adj), default=0)
-            starts = [v for v, a in enumerate(adj) if a.bit_count() == low][:3]
-            rivals = [_seal_scan(adj, v) for v in starts]
+            plain = _seal_scan(nbrs)
+            plain_score = frontier_reference(nbrs, plain)[0]
+            assert score <= plain_score
+            if order != plain:
+                assert score < plain_score
+            # The only rivals are the scans started at the first three
+            # minimum-degree vertices, and none of them scores lower.
+            low = min(map(len, nbrs), default=0)
+            starts = [v for v, t in enumerate(nbrs) if len(t) == low][:3]
+            scans = [_seal_scan(nbrs, v) for v in starts]
+            rivals = [(r, *frontier_reference(nbrs, r)) for r in scans]
             assert all(score <= r[1] for r in rivals)
-            assert order == plain[0] or (order, score, width) in rivals
+            assert order == plain or (order, score, width) in rivals
         # Row-major grid 3x6: the plain scan sweeps the rows of 6, and a
         # corner start (0, 5 and 12 are the first corners) sweeps the columns.
-        adj = fam("grid", 3, 6).adjacency_masks()
-        order, _, width = _search_order(adj)
-        assert _seal_scan(adj)[2] == 6 and width == 3 and order[0] in (0, 5, 12)
+        nbrs = fam("grid", 3, 6).neighbor_tuples()
+        order, _, width = _search_order(nbrs)
+        assert _frontier(nbrs, _seal_scan(nbrs))[1] == 6
+        assert width == 3 and order[0] in (0, 5, 12)
+
+    def test_frontier_matches_quadratic_reference(self):
+        # The plain and started seal orders, the id order and a seeded random
+        # permutation of each graph of the scan corpora.
+        rng = random.Random(2121)
+        cases = SCAN_CORPUS + [fam("grid", r, c) for r in range(1, 7) for c in range(1, 9)]
+        cases += [_random_graph(rng, rng.randint(0, 16), rng.choice((0.1, 0.2, 0.4)))
+                  for _ in range(60)]
+        cases += [fam("cycle", 15), sierpinski_graph(3)]
+        for g in cases:
+            nbrs = g.neighbor_tuples()
+            shuffled = list(range(g.order))
+            rng.shuffle(shuffled)
+            orders = [_seal_scan(nbrs), range(g.order), shuffled]
+            orders += [_seal_scan(nbrs, s) for s in range(min(g.order, 3))]
+            for order in orders:
+                assert _frontier(nbrs, order) == frontier_reference(nbrs, order), (
+                    list(g.edges()), list(order))
+
+    @pytest.mark.parametrize("kind,width", [("cycle", 2), ("path", 1)])
+    def test_long_strip_search_order(self, kind, width):
+        # The scans and the frontier sweep read neighbor tuples, so the
+        # order of a 20,000-vertex strip takes a fraction of a second.
+        assert _search_order(fam(kind, 20_000).neighbor_tuples())[2] == width
 
     @pytest.mark.parametrize("rows,cols", [(3, 6), (4, 6)])
     def test_transposed_grids_cost_alike(self, rows, cols):
@@ -402,7 +422,7 @@ class TestSealOrder:
         assert wide.stats.frontier_width == tall.stats.frontier_width == rows
 
     def test_frontier_width_stat(self):
-        assert _search_order(fam("grid", 4, 8).adjacency_masks())[2] == 4
+        assert _search_order(fam("grid", 4, 8).neighbor_tuples())[2] == 4
         assert gamma_bruteforce(fam("grid", 5, 3)).stats.frontier_width == 3
         assert gamma_bruteforce(build_graph(0, [])).stats.frontier_width == 0
         assert two_extremal_minimum(fam("grid", 3, 5), "maximize_twos").stats.frontier_width == 3
@@ -963,18 +983,18 @@ class TestSolveDispatch:
                  for _ in range(20)]
         cases += [fam("grid", 3, 10), fam("grid", 3, 11), fam("star", 23), fam("cycle", 26)]
         for g in cases:
-            adj = g.adjacency_masks()
-            width = TestSealOrder._profile(adj, range(g.order))[1]
-            low = sum(a.bit_count() <= 1 for a in adj)
-            assert _packing_pays(adj) == (width > 10 or 3 * low > g.order)
-        assert not _packing_pays(fam("grid", 3, 10).adjacency_masks())  # width 10
-        assert _packing_pays(fam("grid", 3, 11).adjacency_masks())  # width 11
-        assert _packing_pays(fam("star", 23).adjacency_masks())  # 23 leaves
+            nbrs = g.neighbor_tuples()
+            width = frontier_reference(nbrs, range(g.order))[1]
+            low = sum(len(t) <= 1 for t in nbrs)
+            assert _packing_pays(nbrs) == (width > 10 or 3 * low > g.order)
+        assert not _packing_pays(fam("grid", 3, 10).neighbor_tuples())  # width 10
+        assert _packing_pays(fam("grid", 3, 11).neighbor_tuples())  # width 11
+        assert _packing_pays(fam("star", 23).neighbor_tuples())  # 23 leaves
         # Path 0-...-15 with leaves 16-23 on 0-6 and 15: 8 of 24 vertices have
         # degree 1, a third; one more leaf, on 7, makes 9 of 25.
         comb = [(v, v + 1) for v in range(15)] + [(v, 16 + v) for v in range(7)] + [(15, 23)]
-        assert not _packing_pays(build_graph(24, comb).adjacency_masks())
-        assert _packing_pays(build_graph(25, comb + [(7, 24)]).adjacency_masks())
+        assert not _packing_pays(build_graph(24, comb).neighbor_tuples())
+        assert _packing_pays(build_graph(25, comb + [(7, 24)]).neighbor_tuples())
         g = _random_graph(random.Random(20), 24, 0.15)
         result = solve(g)
         assert result.stats.method == "eccd"
@@ -991,12 +1011,11 @@ class TestSolveDispatch:
         for _ in range(300):
             n = rng.randint(23, 40)
             g = _random_graph(rng, n, rng.choice((0.05, 0.1, 0.15, 0.2, 0.3)))
-            adj = g.adjacency_masks()
-            reach = [a.bit_length() - 1 for a in adj]
-            width = max(sum(reach[u] > v for u in range(v + 1)) for v in range(n))
-            low = sum(a.bit_count() <= 1 for a in adj)
+            nbrs = g.neighbor_tuples()
+            width = frontier_reference(nbrs, range(n))[1]
+            low = sum(len(t) <= 1 for t in nbrs)
             want = width > 10 or 3 * low > n
-            assert _packing_pays(adj) == want
+            assert _packing_pays(nbrs) == want
             if 3 * low <= n:
                 sides.add(want)
         assert sides == {False, True}
