@@ -1,15 +1,12 @@
-"""Immutable simple-graph representation: neighbor tuples plus bitmasks.
+"""Immutable simple-graph representation over sorted neighbor tuples.
 
 Internal vertex ids are contiguous 0..order-1.  Every graph additionally
 carries a bijective map to external ids (the numbering used in input files);
 for graphs built directly in code the two numberings coincide.  Adjacency is
-stored as one sorted tuple of neighbor ids per vertex, which is what file
-output, DOT export, validation and the traversals here read.  The searches
-work on one Python int bitmask per vertex, which keeps their hot loops
-(neighborhood intersections) down to a couple of machine-word operations per
-word of vertices; those masks are built once, the first time a search asks
-for them, so a large graph that is only read, validated and written never
-pays for them.
+stored as one sorted tuple of neighbor ids per vertex, and that is the only
+adjacency format a graph holds: file output, DOT export, validation and the
+traversals here read it.  The searches in ``solver`` build their own
+per-vertex bitmasks from these tuples for the length of one solve.
 """
 
 from __future__ import annotations
@@ -35,22 +32,10 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def _sorted_mask(vertices: tuple[int, ...]) -> int:
-    """``mask_of`` for a sorted tuple: the bits are set relative to the
-    smallest id and shifted once, so each step works on a small int."""
-    if not vertices:
-        return 0
-    low = vertices[0]
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - low)
-    return m << low
-
-
 class Graph:
     """Finite simple undirected graph, immutable after construction."""
 
-    __slots__ = ("order", "_nbrs", "_masks", "_ext", "_int_of")
+    __slots__ = ("order", "_nbrs", "_ext", "_int_of")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]],
                  external_ids: Iterable[int] | None = None):
@@ -74,7 +59,6 @@ class Graph:
     def _set(self, nbrs: tuple[tuple[int, ...], ...], ext: tuple[int, ...] | None) -> None:
         self.order = len(nbrs)
         self._nbrs = nbrs
-        self._masks = None
         self._ext = ext if ext is not None else tuple(range(len(nbrs)))
         self._int_of = {e: i for i, e in enumerate(self._ext)}
 
@@ -90,19 +74,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(self.order)
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """One bitmask per vertex, built on the first call and kept."""
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = tuple(map(_sorted_mask, self._nbrs))
-        return masks
-
-    def adjacency_mask(self, v: int) -> int:
-        masks = self._masks
-        if masks is None:
-            masks = self.adjacency_masks()
-        return masks[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]

@@ -6,9 +6,9 @@ n=1 this is the classical Roman domination condition; for n=2 there is a
 linear-time characterization (see ``validate``), and for larger n we fall
 back to subset enumeration, over the 0s that Hall's condition leaves.
 Validation, ``epn_set`` and ``public_set`` only ask which neighbors of each
-0 are labeled 2, so they read the graph's sorted neighbor tuples and never
-build its adjacency bitmasks; only ``validate_by_enumeration``, the
-reference the fast path is checked against, works on those masks.
+0 are labeled 2, so they read the graph's sorted neighbor tuples.  Labels are
+held as a tuple of ints, never as masks: only the reference
+``validate_by_enumeration`` packs bits, one mask of 2-neighbors per 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from ._record import record
-from .graph import Graph
+from .graph import Graph, mask_of
 
 LABELS = (0, 1, 2)
 
@@ -30,6 +30,9 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        # A list from the caller would make the record unhashable and unequal
+        # to the same labels given as a tuple.
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.graph.order:
             raise ValueError(
                 f"labeling has {len(self.labels)} entries for order {self.graph.order}")
@@ -40,13 +43,6 @@ class Labeling:
     @property
     def weight(self) -> int:
         return sum(self.labels)
-
-    def label_mask(self, value: int) -> int:
-        m = 0
-        for v, lab in enumerate(self.labels):
-            if lab == value:
-                m |= 1 << v
-        return m
 
 
 @record
@@ -188,10 +184,10 @@ def validate_by_enumeration(labeling: Labeling, attack_n: int = 2) -> Validation
     must agree with."""
     if attack_n < 1:
         raise ValueError("attack_n must be >= 1")
-    adj = labeling.graph.adjacency_masks()
-    two_mask = labeling.label_mask(2)
-    zeros = [v for v, lab in enumerate(labeling.labels) if lab == 0]
-    seen = {v: adj[v] & two_mask for v in zeros}
+    nbrs = labeling.graph.neighbor_tuples()
+    labels = labeling.labels
+    zeros = [v for v, lab in enumerate(labels) if lab == 0]
+    seen = {v: mask_of(u for u in nbrs[v] if labels[u] == 2) for v in zeros}
     for j in range(1, attack_n + 1):
         hit = _first_violation_of_size(seen, zeros, j)
         if hit is not None:

@@ -123,8 +123,23 @@ class OptimalityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helpers (sealed-0 checks, the residual bound)
+# shared low-level helpers (adjacency masks, sealed-0 checks, the residual bound)
 # ---------------------------------------------------------------------------
+
+
+def _masks(nbrs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """One adjacency bitmask per vertex: the format of the searches, built
+    from the sorted neighbor tuples once per solve.  Each mask is set
+    relative to the smallest neighbor and shifted once, so each step works
+    on a small int."""
+    masks = []
+    for t in nbrs:
+        low = t[0] if t else 0
+        m = 0
+        for v in t:
+            m |= 1 << v - low
+        masks.append(m << low)
+    return tuple(masks)
 
 
 def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:
@@ -472,8 +487,8 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
             raise TooLargeError(graph.order, limit)
     start = time.perf_counter()
     n = graph.order
-    adj = graph.adjacency_masks()
     nbrs = graph.neighbor_tuples()
+    adj = _masks(nbrs)
     attack = opts.attack_n
     bound = _Discharge(adj, attack)
     order, _, width = _search_order(nbrs)
@@ -561,19 +576,12 @@ def check_eccd(graph: Graph, eccd: EccdSet) -> None:
 
 def p5_candidates(graph: Graph) -> list[tuple[int, int, int, int, int]]:
     """Every P5 path as an ordered tuple, smaller endpoint first."""
-    adj = graph.adjacency_masks()
-    out = []
-    for a in range(graph.order):
-        abit = 1 << a
-        for b in iter_bits(adj[a]):
-            bbit = 1 << b
-            for c in iter_bits(adj[b] & ~abit):
-                cbit = 1 << c
-                for d in iter_bits(adj[c] & ~abit & ~bbit):
-                    for e in iter_bits(adj[d] & ~abit & ~bbit & ~cbit):
-                        if a < e:
-                            out.append((a, b, c, d, e))
-    return out
+    nbrs = graph.neighbor_tuples()
+    return [(a, b, c, d, e)
+            for a in range(graph.order) for b in nbrs[a]
+            for c in nbrs[b] if c != a
+            for d in nbrs[c] if d != a and d != b
+            for e in nbrs[d] if e > a and e != b and e != c]
 
 
 def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
@@ -749,11 +757,12 @@ def _leaf_dfs(adj, order, outside, pmask, k, used, cost, leaves, best):
 
 def max_eccd(graph: Graph) -> EccdSet:
     """A maximum end-coupled center-disjoint P5 packing, deterministically."""
-    score, sol, _ = _max_eccd_engine(graph.adjacency_masks())
-    return _assemble_eccd(graph, score, sol)
+    adj = _masks(graph.neighbor_tuples())
+    score, sol, _ = _max_eccd_engine(adj)
+    return _assemble_eccd(adj, score, sol)
 
 
-def _assemble_eccd(graph: Graph, score: int, sol) -> EccdSet:
+def _assemble_eccd(adj: Sequence[int], score: int, sol) -> EccdSet:
     if score == 0 or sol is None:
         return EccdSet(())
     imask, assign, pmask = sol
@@ -761,7 +770,7 @@ def _assemble_eccd(graph: Graph, score: int, sol) -> EccdSet:
     centers = sorted(iter_bits(pmask & ~leaf_mask))
     paths = []
     for c in centers:
-        i1, i2 = list(iter_bits(graph.adjacency_mask(c) & imask))[:2]
+        i1, i2 = list(iter_bits(adj[c] & imask))[:2]
         a, e = assign[i1], assign[i2]
         if a < e:
             paths.append((a, i1, c, i2, e))
@@ -794,8 +803,9 @@ def eccd_to_labeling(graph: Graph, eccd: EccdSet) -> Labeling:
 def gamma_via_eccd(graph: Graph) -> SolveResult:
     """Minimum weight via the maximum packing; attack number 2 only."""
     start = time.perf_counter()
-    score, sol, nodes = _max_eccd_engine(graph.adjacency_masks())
-    eccd = _assemble_eccd(graph, score, sol)
+    adj = _masks(graph.neighbor_tuples())
+    score, sol, nodes = _max_eccd_engine(adj)
+    eccd = _assemble_eccd(adj, score, sol)
     witness = eccd_to_labeling(graph, eccd)
     gamma = graph.order - len(eccd)
     if witness.weight != gamma:
@@ -822,17 +832,19 @@ def is_optimal(graph: Graph) -> tuple[bool, OptimalityCertificate | None]:
 
 def find_02020_path(labeling: Labeling) -> tuple[int, int, int, int, int] | None:
     """First P5 labeled 0-2-0-2-0 under the labeling, or None."""
-    g = labeling.graph
-    two_mask = labeling.label_mask(2)
-    zero_mask = labeling.label_mask(0)
-    for c in iter_bits(zero_mask):
-        twos = list(iter_bits(g.adjacency_mask(c) & two_mask))
+    labels = labeling.labels
+    nbrs = labeling.graph.neighbor_tuples()
+    for c, lab in enumerate(labels):
+        if lab:
+            continue
+        twos = [u for u in nbrs[c] if labels[u] == 2]
         for b, d in combinations(twos, 2):
             for bb, dd in ((b, d), (d, b)):
-                for a in iter_bits(g.adjacency_mask(bb) & zero_mask & ~(1 << c)):
-                    tail = g.adjacency_mask(dd) & zero_mask & ~(1 << c) & ~(1 << a)
-                    for e in iter_bits(tail):
-                        return (a, bb, c, dd, e)
+                for a in nbrs[bb]:
+                    if labels[a] == 0 and a != c:
+                        for e in nbrs[dd]:
+                            if labels[e] == 0 and e != c and e != a:
+                                return (a, bb, c, dd, e)
     return None
 
 
@@ -907,29 +919,27 @@ def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, d
     Returns the spanning subgraph and the 2-vertex -> private-0 matching.
     """
     _require_minimum(graph, labeling)
-    adj = list(graph.adjacency_masks())  # edited below
-    zero_mask = labeling.label_mask(0)
-    two_mask = labeling.label_mask(2)
+    labels = labeling.labels
+    adj = [set(t) for t in graph.neighbor_tuples()]  # edited below
     matching: dict[int, int] = {}
-    for v in iter_bits(zero_mask):
-        t = adj[v] & two_mask
-        if t and t & (t - 1) == 0:
-            w = t.bit_length() - 1
-            if w not in matching:
-                matching[w] = v
-    for t_i in iter_bits(two_mask):
-        if t_i in matching:
+    for v, lab in enumerate(labels):
+        if lab == 0:
+            t = [u for u in adj[v] if labels[u] == 2]
+            if len(t) == 1 and t[0] not in matching:
+                matching[t[0]] = v
+    for t_i, lab in enumerate(labels):
+        if lab != 2 or t_i in matching:
             continue
-        candidates = adj[t_i] & zero_mask
-        if candidates == 0:
+        candidates = [u for u in adj[t_i] if labels[u] == 0]
+        if not candidates:
             raise NotMinimumError(f"2-vertex {t_i} has no 0-neighbor")
-        v_i = (candidates & -candidates).bit_length() - 1
-        cut = adj[v_i] & two_mask & ~(1 << t_i)
-        adj[v_i] &= ~cut
-        for w in iter_bits(cut):
-            adj[w] &= ~(1 << v_i)
+        v_i = min(candidates)
+        cut = {w for w in adj[v_i] if labels[w] == 2 and w != t_i}
+        adj[v_i] -= cut
+        for w in cut:
+            adj[w].discard(v_i)
         matching[t_i] = v_i
-    sub = Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in adj), graph.external_ids)
+    sub = Graph._from_neighbors(tuple(tuple(sorted(s)) for s in adj), graph.external_ids)
     return sub, matching
 
 

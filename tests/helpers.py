@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import iter_bits, mask_of
-from tworoman.labeling import first_violation
-from tworoman.solver import (_Discharge, _min_cost_leaf_assignment, _seal_conflict,
-                             _seal_scan)
+from tworoman.solver import _Discharge, _masks, _min_cost_leaf_assignment, _search
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -129,17 +127,6 @@ def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
     return best_score, best_sol, nodes
 
 
-def residual_bound(adj: list[int], attack_n: int, und_mask: int, two_mask: int) -> int:
-    """Lower bound on the weight any valid completion puts on ``und_mask``:
-    the ``solver._Discharge`` state built from scratch."""
-    return _Discharge(adj, attack_n).state(und_mask, two_mask)[2]
-
-
-def seal_order(nbrs) -> list[int]:
-    """The plain seal order: ``solver._seal_scan`` with id tie-breaks."""
-    return _seal_scan(nbrs)
-
-
 def frontier_reference(nbrs, order) -> tuple[int, int]:
     """(sum of squared frontier widths, largest width) over the prefixes of
     ``order``, each frontier counted from scratch: the quadratic reference
@@ -167,52 +154,26 @@ def eccd_set_score(adj: list[int], inners) -> int | None:
     return None if found is None else p_count - found[0]
 
 
-def bb_gamma_degree_order(adj: list[int], attack_n: int,
-                          max_twos: int | None) -> tuple[int, int]:
-    """The optimum pass of ``solver.gamma_bruteforce`` over vertices in
-    descending-degree order (ties by id), the order it used before
-    ``seal_order``; returns (gamma, nodes).  The vertex order may change the
-    node count but never gamma.
+def bb_gamma_degree_order(graph: Graph, attack_n: int, max_twos: int | None) -> int:
+    """Gamma from the optimum pass of ``solver.gamma_bruteforce`` run over
+    vertices in descending-degree order (ties by id), the order it used
+    before the seal scan.  The vertex order may change the node count but
+    never gamma.
     """
-    n = len(adj)
-    if n == 0:
-        return 0, 1
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    use_pairs = attack_n >= 2
-    best = n
-    nodes = 0
-    labels = [1] * n
-    nbrs = [tuple(iter_bits(a)) for a in adj]
-    bound = _Discharge(adj, attack_n)
+    n = graph.order
+    nbrs = graph.neighbor_tuples()
+    adj = _masks(nbrs)
+    cap = n if max_twos is None else max_twos
+    order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+    gamma = [n]
 
-    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
-        nonlocal best, nodes
-        nodes += 1
-        if idx == n:
-            if first_violation(nbrs, labels, attack_n) is None:
-                best = wgt
-            return
-        v = order[idx]
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
-        for lab in (0, 2, 1):
-            if lab == 2 and max_twos is not None and twos == max_twos:
-                continue
-            st = high if lab == 2 else low
-            if wgt + lab + st[2] >= best:
-                continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            t2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, t2, und2, use_pairs):
-                continue
-            labels[v] = lab
-            rec(idx + 1, z2, t2, und2, wgt + lab, twos + (lab == 2), st)
-        labels[v] = 1
+    def lower(labels, wgt, twos):
+        gamma[0] = wgt
+        return wgt - 1, 0, cap
 
-    full = (1 << n) - 1
-    rec(0, 0, 0, full, 0, 0, bound.state(full))
-    return best, nodes
+    _search(adj, nbrs, attack_n, _Discharge(adj, attack_n), order, (0, 2, 1), n - 1, 0, cap,
+            lower)
+    return gamma[0]
 
 
 def _connected(n: int, adj: list[int]) -> bool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tworoman import FamilySpec, Graph, cli, generate, parse_graph_file, write_graph_file
+from tworoman import FamilySpec, cli, generate, parse_graph_file, write_graph_file
 from tworoman.cli import cli_main
 
 
@@ -221,26 +221,6 @@ class TestTiling:
         code, _, err = run(capsys, "tiling", "hexagonal", "--size", "6x5",
                            "--wrap", "torus")
         assert code == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["validate", "fig2_k6.txt", "--json", "--dot", "k6.dot"],
-    ["validate", "fig1_star.txt", "--attack", "3"],
-    ["gen", "grid", "5", "5", "-o", "grid.txt"],
-    ["tiling", "square", "--size", "14x14", "--wrap", "torus", "-o", "sq.txt",
-     "--dot", "sq.dot"],
-    ["tiling", "square", "--size", "14x14", "--verify-pattern", "--json"],
-], ids=["validate", "validate-a3", "gen", "tiling", "tiling-verify"])
-def test_commands_without_a_search_build_no_masks(capsys, monkeypatch, fixtures_dir,
-                                                  tmp_path, argv):
-    argv = [fixture(fixtures_dir, a) if a.startswith("fig") else
-            str(tmp_path / a) if "." in a else a for a in argv]
-    built = []
-    real = Graph.adjacency_masks
-    monkeypatch.setattr(Graph, "adjacency_masks",
-                        lambda self: built.append(self) or real(self))
-    assert run(capsys, *argv)[0] in (0, 1)
-    assert built == []
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from tworoman import (EmptyGraphError, FamilySpec, Graph, OutOfRangeError, Patch
                       generate, generate_patch, induced_subgraph, max_degree,
                       open_neighborhood, solve)
 from tworoman.graph import iter_bits
+from tworoman.solver import _masks
 
 
 class TestBuildGraph:
@@ -188,7 +189,7 @@ CONSTRUCTIONS = {
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
 def test_neighbor_tuples_agree_with_masks(build):
     g = build()
-    masks = [g.adjacency_mask(v) for v in g.vertices()]
+    masks = _masks(g.neighbor_tuples())
     for v in g.vertices():
         nbrs = g.neighbors(v)
         assert list(nbrs) == sorted(nbrs)
@@ -208,13 +209,13 @@ def test_neighbor_tuples_agree_with_masks(build):
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
 def test_two_constructions_are_equal(build):
     g = build()
-    fresh = build()  # its masks are not built yet
+    fresh = build()
     edges = list(g.edges())
     rebuilt = [
         fresh,
         Graph(g.order, edges, g.external_ids),
         build_graph(g.order, [(v, u) for u, v in reversed(edges)], g.external_ids),
-        Graph._from_neighbors(tuple(tuple(iter_bits(g.adjacency_mask(v))) for v in g.vertices()),
+        Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in _masks(g.neighbor_tuples())),
                               g.external_ids),
     ]
     for other in rebuilt:
@@ -223,16 +224,9 @@ def test_two_constructions_are_equal(build):
         assert Graph(g.order, edges) != g  # external ids take part in equality
 
 
-def test_masks_are_built_once():
-    g = generate(FamilySpec("grid", (4, 4)))
-    masks = g.adjacency_masks()
-    assert g.adjacency_masks() is masks
-    assert [g.adjacency_mask(v) for v in g.vertices()] == list(masks)
-
-
 def test_random_graphs_roundtrip_through_masks():
     for g in random_graphs(30, seed=1515):
-        masks = list(g.adjacency_masks())
+        masks = _masks(g.neighbor_tuples())
         assert Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in masks)) == g
         assert [g.neighbors(v) for v in g.vertices()] == [
             tuple(iter_bits(m)) for m in masks]

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import allepn_labelings, fig1_star_labeled, random_graphs
-from tworoman import (FamilySpec, Graph, Labeling, PatchSpec, build_graph, epn_set,
-                      find_pattern, generate, generate_patch, parse_graph_file,
-                      partition, pattern_labeling, public_set, structured_document,
-                      to_dot, validate, validate_by_enumeration, verify_pattern,
-                      weight, write_graph_file)
+from tworoman import (FamilySpec, Labeling, PatchSpec, build_graph, epn_set, find_pattern,
+                      generate, generate_patch, parse_graph_file, partition,
+                      pattern_labeling, public_set, structured_document, validate,
+                      validate_by_enumeration, verify_pattern, weight, write_graph_file)
 from tworoman import labeling as labeling_module
 from tworoman.labeling import first_violation
 
@@ -37,6 +36,13 @@ class TestLabelingType:
         assert lab.weight == 0
         assert validate(lab, 2).valid
         assert validate(lab, 5).valid
+
+    def test_list_labels_stored_as_tuple(self):
+        g = generate(FamilySpec("path", (3,)))
+        from_list, from_tuple = Labeling(g, [0, 2, 0]), Labeling(g, (0, 2, 0))
+        assert from_list.labels == (0, 2, 0)
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple}) == 1
 
 
 class TestWeight:
@@ -94,8 +100,7 @@ class TestPrivatePublic:
         for labels in product((0, 1, 2), repeat=6):
             lab = Labeling(g, labels)
             v0 = partition(lab)[0]
-            two_mask = lab.label_mask(2)
-            bare = sum(1 for v in v0 if g.adjacency_mask(v) & two_mask == 0)
+            bare = sum(1 for v in v0 if 2 not in (labels[u] for u in g.neighbors(v)))
             assert len(epn_set(lab)) + len(public_set(lab)) + bare == len(v0)
 
 
@@ -131,9 +136,8 @@ class TestValidate:
         report = validate(lab, 2)
         assert not report.valid
         u, v = report.witness
-        two_mask = lab.label_mask(2)
-        shared = (g.adjacency_mask(u) | g.adjacency_mask(v)) & two_mask
-        assert shared.bit_count() < 2
+        shared = {w for w in g.neighbors(u) + g.neighbors(v) if lab.labels[w] == 2}
+        assert len(shared) < 2
 
     def test_pair_witness_is_lex_first_not_first_found(self):
         # 0s 1 and 4 share the 2 at vertex 0, 0s 2 and 3 the 2 at vertex 5;
@@ -229,28 +233,18 @@ def test_tuple_validator_matches_enumeration_past_one_word(lab, attack):
     assert validate(lab, attack).witness == validate_by_enumeration(lab, attack).witness
 
 
-def test_no_masks_outside_the_searches(monkeypatch):
-    # Validation, file output, DOT, JSON and pattern checks read the neighbor
-    # tuples; only the searches build the adjacency masks.
-    built = []
-    real = Graph.adjacency_masks
-    monkeypatch.setattr(Graph, "adjacency_masks",
-                        lambda self: built.append(self) or real(self))
+def test_readers_agree_on_a_pattern_torus():
     pattern = find_pattern("square")
     patch = generate_patch(PatchSpec("square", 14, 14, "torus"))
     parsed = parse_graph_file(write_graph_file(patch.graph,
                                                pattern_labeling(pattern, patch)))
     g, lab = parsed.graph, parsed.labeling
     assert [validate(lab, attack).valid for attack in (1, 2, 3)] == [True, True, False]
-    to_dot(g, lab)
-    write_graph_file(g, lab)
     doc = structured_document(g, lab)
     assert doc["epn_count"] == len(epn_set(lab))
     assert doc["public_count"] == len(public_set(lab))
     assert doc["partition_sizes"] == dict(zip(("v0", "v1", "v2"), map(len, partition(lab))))
     assert verify_pattern(pattern, [(14, 14)])[0].valid
-    assert g._masks is None and patch.graph._masks is None
-    assert built == []
 
 
 @given(graph_and_labeling(max_order=12), st.integers(min_value=1, max_value=4))

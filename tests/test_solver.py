@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from helpers import (allepn_labelings, bb_gamma_degree_order, eccd_set_score,
                      eccd_showcase_graph, eccd_sweep_reference, graphs,
                      max_eccd_reference, naive_gamma, naive_minimum_labelings,
-                     naive_valid_labelings, random_graphs, residual_bound,
-                     frontier_reference, sampled_connected_graphs, seal_order,
-                     sierpinski_graph)
+                     naive_valid_labelings, random_graphs, frontier_reference,
+                     sampled_connected_graphs, sierpinski_graph)
 from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labeling,
                       NotMinimumError, SolveOptions, TooLargeError,
                       assign_private_neighbors, build_graph, check_eccd,
@@ -23,7 +22,7 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
 from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of
 from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table, _frontier,
-                             _max_eccd_engine, _min_cost_leaf_assignment,
+                             _masks, _max_eccd_engine, _min_cost_leaf_assignment,
                              _packing_pays, _seal_scan, _search, _search_order)
 
 
@@ -106,14 +105,14 @@ class TestDischargeBound:
 
     @staticmethod
     def _prefix_orders(nbrs):
-        return seal_order(nbrs), _search_order(nbrs)[0], list(range(len(nbrs)))
+        return _seal_scan(nbrs), _search_order(nbrs)[0], list(range(len(nbrs)))
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
         rng = random.Random(2023)
         for _ in range(80):
             n = rng.randint(1, 7)
             g = _random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.7)))
-            adj = g.adjacency_masks()
+            adj = _masks(g.neighbor_tuples())
             for attack in (1, 2, 3):
                 minima = naive_minimum_labelings(g, attack)
                 gamma = sum(minima[0])
@@ -132,15 +131,15 @@ class TestDischargeBound:
                             if labels[v] == 2:
                                 twos |= 1 << v
                             assert state == bound.state(und, twos)
-                            assert residual_bound(adj, attack, und, twos) <= gamma - wgt, (
+                            assert state[2] <= gamma - wgt, (
                                 n, list(g.edges()), attack, labels, order)
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
-        adj = g.adjacency_masks()
+        adj = _masks(g.neighbor_tuples())
         for attack in (1, 2):
-            assert residual_bound(adj, attack, 0b1111, 0) == 4
-            assert residual_bound(adj, attack, 0b1100, 0b0001) == 2
+            assert _Discharge(adj, attack).state(0b1111)[2] == 4
+            assert _Discharge(adj, attack).state(0b1100, 0b0001)[2] == 2
             assert gamma_bruteforce(g, SolveOptions(attack_n=attack)).gamma == 4
 
     @pytest.mark.parametrize("attack", [1, 2, 3])
@@ -174,7 +173,8 @@ class TestDischargeBound:
 class TestSearchCore:
     def test_leaf_can_stop_the_search(self):
         g = fam("cycle", 10)
-        adj, nbrs = g.adjacency_masks(), g.neighbor_tuples()
+        nbrs = g.neighbor_tuples()
+        adj = _masks(nbrs)
         bound = _Discharge(adj, 2)
         gamma = gamma_bruteforce(g).gamma
         leaves = []
@@ -263,8 +263,8 @@ class TestSealOrder:
         fam("star", 4), fam("grid", 3, 4), fam("complete", 5),
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
-        adj = g.adjacency_masks()
-        order = seal_order(g.neighbor_tuples())
+        nbrs = g.neighbor_tuples()
+        adj, order = _masks(nbrs), _seal_scan(nbrs)
         assert sorted(order) == list(range(g.order))
         placed = 0
         for v in order:
@@ -278,8 +278,8 @@ class TestSealOrder:
 
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
-        adj = g.adjacency_masks()
-        order = seal_order(g.neighbor_tuples())
+        nbrs = g.neighbor_tuples()
+        adj, order = _masks(nbrs), _seal_scan(nbrs)
         assert order[0] == 0
         placed = 0
         for v in order:
@@ -294,9 +294,8 @@ class TestSealOrder:
         for _ in range(40):
             n = rng.randint(0, 13)
             g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
-            adj = g.adjacency_masks()
             for cap in (None, 0, 1, 2):
-                want = bb_gamma_degree_order(adj, attack, cap)[0]
+                want = bb_gamma_degree_order(g, attack, cap)
                 got = gamma_bruteforce(g, SolveOptions(attack_n=attack, max_twos=cap)).gamma
                 assert got == want, (n, list(g.edges()), attack, cap)
 
@@ -333,12 +332,13 @@ class TestSealOrder:
 
     @pytest.mark.parametrize("g", SCAN_CORPUS, ids=SCAN_IDS)
     def test_started_scan_breaks_ties_by_distance(self, g):
-        adj, nbrs = g.adjacency_masks(), g.neighbor_tuples()
+        nbrs = g.neighbor_tuples()
+        adj = _masks(nbrs)
         for start in range(min(g.order, 3)):
             dist = {start: 0}
             queue = [start]
             for u in queue:
-                for w in iter_bits(adj[u]):
+                for w in nbrs[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         queue.append(w)
@@ -560,10 +560,10 @@ class TestEccdPruning:
 
     @staticmethod
     def _assert_same_as_sweep(g):
-        adj = g.adjacency_masks()
+        adj = _masks(g.neighbor_tuples())
         score, sol, _ = eccd_sweep_reference(adj)
         assert _max_eccd_engine(adj)[:2] == (score, sol)
-        packing = _assemble_eccd(g, score, sol)
+        packing = _assemble_eccd(adj, score, sol)
         assert max_eccd(g) == packing
         labels = eccd_to_labeling(g, packing).labels
         assert gamma_via_eccd(g).labeling.labels == labels
@@ -602,7 +602,8 @@ class TestEccdPruning:
         rng = random.Random(405)
         for _ in range(60):
             n = rng.randint(5, 9)
-            adj = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7))).adjacency_masks()
+            g = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            adj = _masks(g.neighbor_tuples())
             cands = [v for v in range(n) if adj[v].bit_count() >= 2]
             top = _eccd_gain_table([adj[v].bit_count() - 1 for v in cands])
             for s in range(2, min(n // 2, len(cands)) + 1):
@@ -886,10 +887,9 @@ class TestAssignPrivateNeighbors:
         assert matching == {3: 0, 4: 1}
         relabeled = Labeling(sub, minimum.labels)
         assert validate(relabeled, 2).valid
-        two_mask = relabeled.label_mask(2)
         for two, private in matching.items():
             assert sub.has_edge(two, private)
-            assert (sub.adjacency_mask(private) & two_mask).bit_count() == 1
+            assert [u for u in sub.neighbors(private) if minimum.labels[u] == 2] == [two]
 
     def test_existing_epns_kept(self):
         g = fam("path", 5)
@@ -1117,11 +1117,9 @@ class TestMinimumLabelingStructure:
     def test_every_two_touches_a_zero(self):
         for g in sampled_connected_graphs(6, 20, seed=23):
             for m in enumerate_minimum_labelings(g):
-                two_mask = m.label_mask(2)
-                zero_mask = m.label_mask(0)
-                for v in range(g.order):
-                    if two_mask >> v & 1:
-                        assert g.adjacency_mask(v) & zero_mask, (g, m.labels)
+                for v, lab in enumerate(m.labels):
+                    if lab == 2:
+                        assert any(m.labels[u] == 0 for u in g.neighbors(v)), (g, m.labels)
 
 
 class TestFind02020:
