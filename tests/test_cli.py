@@ -223,6 +223,27 @@ class TestTiling:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "fig2_k6.txt", "--json", "--dot", "k6.dot"],
+    ["validate", "fig1_star.txt", "--attack", "3"],
+    ["gen", "grid", "5", "5", "-o", "grid.txt"],
+    ["tiling", "square", "--size", "14x14", "--wrap", "torus", "-o", "sq.txt",
+     "--dot", "sq.dot"],
+    ["tiling", "square", "--size", "14x14", "--verify-pattern", "--json"],
+], ids=["validate", "validate-a3", "gen", "tiling", "tiling-verify"])
+def test_commands_without_a_search_build_no_masks(capsys, monkeypatch, fixtures_dir,
+                                                  tmp_path, argv):
+    # The solver is the only module that builds adjacency bitmasks.
+    solver = importlib.import_module("tworoman.solver")
+    argv = [fixture(fixtures_dir, a) if a.startswith("fig") else
+            str(tmp_path / a) if "." in a else a for a in argv]
+    built = []
+    real = solver._masks
+    monkeypatch.setattr(solver, "_masks", lambda nbrs: built.append(nbrs) or real(nbrs))
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert built == []
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/graph.txt")

@@ -91,19 +91,6 @@ def test_light_commands_skip_solver_and_tilings(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate", str(FIXTURES / "fig1_star.txt"), "--attack", "3"],
-    ["tiling", "square", "--size", "14x14", "--wrap", "torus", "-o", "sq.txt",
-     "--dot", "sq.dot"],
-    ["tiling", "square", "--size", "14x14", "--verify-pattern", "--json"],
-], ids=["validate-a3", "tiling", "tiling-verify"])
-def test_commands_without_a_search_skip_solver(tmp_path, argv):
-    # The solver is the only module that builds adjacency bitmasks.
-    code, modules = loaded_by(*argv, cwd=tmp_path)
-    assert code in (0, 1)
-    assert "tworoman.cli" in modules and "tworoman.solver" not in modules
-
-
-@pytest.mark.parametrize("argv", [
     ["solve", str(FIXTURES / "p4.txt"), "--json"],
     ["solve", str(FIXTURES / "p4.txt"), "--all"],
     ["optimal", str(FIXTURES / "p4.txt"), "--json"],
