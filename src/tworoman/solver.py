@@ -142,35 +142,25 @@ def _masks(nbrs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _seal_conflict(adj, v, lab, zero_mask, two_mask, und_mask, use_pairs) -> bool:
-    """True when labeling v just produced an unfixable violation.
+def _seal_conflict(adj, nbrs, labels, two_mask, seal, close, i, use_pairs) -> bool:
+    """True when labeling ``order[i]`` just produced an unfixable violation.
 
-    A 0-vertex is sealed once all its neighbors are decided; a sealed 0 with
-    no 2-neighbor is dead, and (for attack 2) two sealed 0s sharing one
-    unique 2-neighbor are dead.  Only vertices sealed by this assignment can
-    newly violate, so the scan is local to v's neighborhood.
+    A vertex u is sealed at position close[u], where it leaves the order's
+    frontier: from there on its closed neighborhood is labeled.  ``seal``
+    lists the vertices sealed at i, the only ones that can newly violate.
+    A sealed 0 with no 2-neighbor is dead, and (for attack 2) two sealed 0s
+    sharing one unique 2-neighbor are dead.  A pair partner x counts only
+    when close[x] <= i, so its label in ``labels`` is final.
     """
-    vbit = 1 << v
-    check = adj[v] & zero_mask
-    if lab == 0:
-        check |= vbit
-    while check:
-        ubit = check & -check
-        check ^= ubit
-        u = ubit.bit_length() - 1
-        if adj[u] & und_mask:
-            continue  # not sealed yet
+    for u in seal:
+        if labels[u]:
+            continue
         t = adj[u] & two_mask
         if t == 0:
             return True
         if use_pairs and t & (t - 1) == 0:
-            w = t.bit_length() - 1
-            others = adj[w] & zero_mask & ~ubit
-            while others:
-                xbit = others & -others
-                others ^= xbit
-                x = xbit.bit_length() - 1
-                if adj[x] & und_mask == 0 and adj[x] & two_mask == t:
+            for x in nbrs[t.bit_length() - 1]:
+                if x != u and close[x] <= i and labels[x] == 0 and adj[x] & two_mask == t:
                     return True
     return False
 
@@ -219,26 +209,31 @@ class _Discharge:
         self.share = [2 * scale // (d + slack) for d in deg]
         self.bonus = self.share if attack_n >= 2 else [0] * len(adj)
 
-    def state(self, und_mask: int, two_mask: int = 0) -> tuple[int, int, int]:
-        """The state of a node computed from scratch."""
+    def state(self, undecided: int, two_mask: int = 0) -> tuple[int, int, int]:
+        """The state of a node computed from scratch from the masks of its
+        undecided vertices and of its 2s: the root state, and the reference
+        that ``step`` must match."""
         adj = self.adj
         t = nf = 0
-        for u in iter_bits(und_mask):
-            if adj[u] & (und_mask | two_mask):
+        for u in iter_bits(undecided):
+            if adj[u] & (undecided | two_mask):
                 t += self.charge[u]
             else:
                 nf += 1
         for w in iter_bits(two_mask):
-            k = (adj[w] & und_mask).bit_count()
+            k = (adj[w] & undecided).bit_count()
             if k:
                 t -= self.share[w] * k + self.bonus[w]
         return t, nf, nf + (-(-t // self.scale) if t > 0 else 0)
 
-    def step(self, state, v: int, und2: int, two_mask: int):
-        """States after deciding v, as (v labeled 0 or 1, v labeled 2).
+    def step(self, state, v: int, i: int, last: Sequence[int], later: Sequence[int],
+             two_mask: int):
+        """States after deciding v = order[i], as (v labeled 0 or 1, v labeled 2).
 
-        ``und2`` is the undecided set without v and ``two_mask`` the 2s
-        before v is labeled; the work is O(deg v).
+        After the step a vertex is undecided when its position exceeds i, so
+        w has an undecided neighbor when ``last[w]``, the position of its last
+        neighbor, exceeds i.  ``later`` lists the neighbors of v after i and
+        ``two_mask`` the 2s before v is labeled; the work is O(deg v).
         """
         adj = self.adj
         share = self.share
@@ -246,8 +241,7 @@ class _Discharge:
         scale = self.scale
         t, nf, _ = state
         av = adj[v]
-        live = und2 | two_mask
-        if av & live:
+        if last[v] > i or av & two_mask:
             t -= charge[v]
         else:
             nf -= 1  # v was forced
@@ -256,16 +250,12 @@ class _Discharge:
             b = m & -m
             m ^= b
             w = b.bit_length() - 1
-            t += share[w] if adj[w] & und2 else share[w] + self.bonus[w]
-        k = (av & und2).bit_count()
+            t += share[w] if last[w] > i else share[w] + self.bonus[w]
+        k = len(later)
         t2 = t - share[v] * k - self.bonus[v] if k else t
         two = (t2, nf, nf + (-(-t2 // scale) if t2 > 0 else 0))
-        m = av & und2
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if adj[u] & live == 0:  # u is now forced
+        for u in later:
+            if last[u] <= i and adj[u] & two_mask == 0:  # u is now forced
                 nf += 1
                 t -= charge[u]
         return (t, nf, nf + (-(-t // scale) if t > 0 else 0)), two
@@ -276,6 +266,18 @@ class _Discharge:
 # ---------------------------------------------------------------------------
 
 
+def _positions(nbrs: Sequence[tuple[int, ...]],
+               order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(pos, last) of a vertex order: pos[u] is u's position and last[u] the
+    position of u's last neighbor (-1 for none).  A vertex is on the
+    frontier from pos[u] up to last[u] and sealed at max(pos[u], last[u])."""
+    pos = [0] * len(nbrs)
+    for i, v in enumerate(order):
+        pos[v] = i
+    at = pos.__getitem__
+    return pos, [max(map(at, t)) if t else -1 for t in nbrs]
+
+
 def _frontier(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]) -> tuple[int, int]:
     """The frontier profile of a vertex order: (score, width).
 
@@ -283,23 +285,18 @@ def _frontier(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]) -> tuple[in
     after it, so its largest size is the vertex separation of the order.
     ``score`` sums the squared frontier size over all prefixes and ``width``
     is the largest one.  A vertex stays on the frontier from its own
-    position up to the position of its last neighbor, so one sweep that
-    counts the ends at each position gives every prefix in O(n + m).
+    position up to the position of its last neighbor (``_positions``), so
+    one sweep that counts the ends at each position gives every prefix in
+    O(n + m).
     """
-    n = len(nbrs)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    at = pos.__getitem__
-    ends = [0] * n
+    _, last = _positions(nbrs, order)
+    ends = [0] * len(nbrs)
     score = width = live = 0
     for i, v in enumerate(order):
-        t = nbrs[v]
-        if t:
-            last = max(map(at, t))
-            if last > i:
-                ends[last] += 1
-                live += 1
+        end = last[v]
+        if end > i:
+            ends[end] += 1
+            live += 1
         live -= ends[i]
         score += live * live
         if live > width:
@@ -388,6 +385,23 @@ def _search_order(nbrs: Sequence[tuple[int, ...]]) -> tuple[list[int], int, int]
     return best
 
 
+def _seal_tables(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]):
+    """The per-position tables of ``_search``: (last, close, sealed, later).
+
+    ``last`` is that of ``_positions``; close[u] = max(pos[u], last[u]) is
+    the position where u leaves the frontier and is sealed, ``sealed[i]``
+    lists the vertices with close i, and ``later[i]`` the neighbors of
+    ``order[i]`` after position i.
+    """
+    pos, last = _positions(nbrs, order)
+    close = list(map(max, pos, last))
+    sealed = [[] for _ in order]
+    for u, c in enumerate(close):
+        sealed[c].append(u)
+    later = [tuple(u for u in nbrs[v] if pos[u] > i) for i, v in enumerate(order)]
+    return last, close, sealed, later
+
+
 def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
             labs: tuple[int, ...], wmax: int, tlo: int, thi: int, leaf) -> int:
     """The one branch-and-bound core: a DFS over label vectors.
@@ -402,14 +416,22 @@ def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
     calls the leaf rule ``leaf(labels, wgt, twos)`` with the live label
     vector, which returns the new limits (wmax, tlo, thi), or None to stop.
     Returns the number of nodes explored, leaves included.
+
+    Decided means placed: at depth i the vertices before position i carry
+    their labels in ``labels`` and the rest are undecided.  The tables of
+    ``_seal_tables``, built once per call, say where each vertex is sealed
+    and which neighbors of ``order[i]`` come after it, so a node carries
+    only (depth, mask of 2s, weight, 2-count, bound state).
     """
     n = len(adj)
     use_pairs = attack_n >= 2
+    last, close, sealed, later = _seal_tables(nbrs, order)
+    step = bound.step
     labels = [0] * n
     nodes = 0
     running = True
 
-    def rec(idx, zero_mask, two_mask, und_mask, wgt, twos, state):
+    def rec(idx, two_mask, wgt, twos, state):
         nonlocal nodes, running, wmax, tlo, thi
         nodes += 1
         if idx == n:
@@ -421,33 +443,29 @@ def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
                     wmax, tlo, thi = new
             return
         v = order[idx]
-        vbit = 1 << v
-        und2 = und_mask & ~vbit
-        low, high = bound.step(state, v, und2, two_mask)
+        low, high = step(state, v, idx, last, later[idx], two_mask)
+        seal = sealed[idx]
         for lab in labs:
             if lab == 2:
-                st, t2 = high, twos + 1
+                st, t2, m2 = high, twos + 1, two_mask | 1 << v
             else:
-                st, t2 = low, twos
+                st, t2, m2 = low, twos, two_mask
             w2 = wgt + lab
             if w2 + st[2] > wmax or t2 > thi or tlo and t2 + (wmax - w2) // 2 < tlo:
                 continue
-            z2 = zero_mask | vbit if lab == 0 else zero_mask
-            m2 = two_mask | vbit if lab == 2 else two_mask
-            if _seal_conflict(adj, v, lab, z2, m2, und2, use_pairs):
-                continue
             labels[v] = lab
-            rec(idx + 1, z2, m2, und2, w2, t2, st)
+            if seal and _seal_conflict(adj, nbrs, labels, m2, seal, close, idx, use_pairs):
+                continue
+            rec(idx + 1, m2, w2, t2, st)
             if not running:
                 return
 
     # One frame per labeled vertex: lift the interpreter's depth limit by
     # the order for the search, so a path or cycle of any order can recurse.
-    full = (1 << n) - 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)
     try:
-        rec(0, 0, 0, full, 0, 0, bound.state(full))
+        rec(0, 0, 0, 0, bound.state((1 << n) - 1))
     finally:
         sys.setrecursionlimit(limit)
         del rec  # ``rec`` refers to itself: drop the cycle with the pass
@@ -513,22 +531,19 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
         _search(adj, nbrs, attack, bound, order, (2, 0, 1) if most else (0, 1, 2),
                 gamma, 0, n, extremal)
     found = []
+    keep = (gamma, 0, cap) if opts.enumerate_all else None
+
+    def collect(labels, wgt, twos):
+        found.append(tuple(labels))
+        return keep
+
+    window = (0, cap) if opts.enumerate_all else (tlo, thi)
+    _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, *window, collect)
+    first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
     all_minimum = feasible = None
     if opts.enumerate_all:
-        def record_all(labels, wgt, twos):
-            found.append(tuple(labels))
-            return gamma, 0, cap
-
-        _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, 0, cap, record_all)
         all_minimum = tuple(Labeling(graph, labs) for labs in found)
         feasible = tuple(sorted({labs.count(2) for labs in found}))
-        first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
-    else:
-        def stop(labels, wgt, twos):
-            found.append(tuple(labels))
-
-        _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, tlo, thi, stop)
-        first = found[0]
     stats = SolveStats(nodes, time.perf_counter() - start, "bruteforce", width)
     return SolveResult(gamma, Labeling(graph, first), n - gamma, stats,
                        all_minimum, feasible)

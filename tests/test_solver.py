@@ -23,7 +23,8 @@ from tworoman import limits, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of
 from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table, _frontier,
                              _masks, _max_eccd_engine, _min_cost_leaf_assignment,
-                             _packing_pays, _seal_scan, _search, _search_order)
+                             _packing_pays, _positions, _seal_scan, _seal_tables, _search,
+                             _search_order)
 
 
 def fam(kind, *params):
@@ -112,20 +113,23 @@ class TestDischargeBound:
         for _ in range(80):
             n = rng.randint(1, 7)
             g = _random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.7)))
-            adj = _masks(g.neighbor_tuples())
+            nbrs = g.neighbor_tuples()
+            adj = _masks(nbrs)
             for attack in (1, 2, 3):
                 minima = naive_minimum_labelings(g, attack)
                 gamma = sum(minima[0])
                 bound = _Discharge(adj, attack)
                 for labels in minima:
-                    for order in self._prefix_orders(g.neighbor_tuples()):
+                    for order in self._prefix_orders(nbrs):
+                        _, last = _positions(nbrs, order)
                         und = (1 << n) - 1
                         twos = wgt = 0
                         state = bound.state(und)
                         assert state[2] <= gamma
-                        for v in order:
+                        for i, v in enumerate(order):
                             und &= ~(1 << v)
-                            low, high = bound.step(state, v, und, twos)
+                            later = [u for u in nbrs[v] if und >> u & 1]
+                            low, high = bound.step(state, v, i, last, later, twos)
                             state = high if labels[v] == 2 else low
                             wgt += labels[v]
                             if labels[v] == 2:
@@ -405,6 +409,41 @@ class TestSealOrder:
             for order in orders:
                 assert _frontier(nbrs, order) == frontier_reference(nbrs, order), (
                     list(g.edges()), list(order))
+
+    def test_position_tables_match_definitions(self):
+        # Each table from scratch on seeded graphs and orders: last is the
+        # largest neighbor position, close the position where the closed
+        # neighborhood is first fully placed, and sealed lists the vertices
+        # whose closed neighborhood is first fully placed there.
+        rng = random.Random(2323)
+        cases = [_random_graph(rng, rng.randint(0, 14), rng.choice((0.0, 0.1, 0.25, 0.5)))
+                 for _ in range(80)] + SCAN_CORPUS
+        for g in cases:
+            nbrs = g.neighbor_tuples()
+            n = g.order
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for order in (_seal_scan(nbrs), range(n), shuffled):
+                order = list(order)
+                pos, last = _positions(nbrs, order)
+                tlast, close, sealed, later = _seal_tables(nbrs, order)
+                case = (list(g.edges()), order)
+                assert [order[p] for p in pos] == list(range(n)), case
+                assert tlast == last, case
+                placed = set()
+                first_full = {}
+                for i, v in enumerate(order):
+                    placed.add(v)
+                    for u in range(n):
+                        if u not in first_full and {u, *nbrs[u]} <= placed:
+                            first_full[u] = i
+                    assert later[i] == tuple(u for u in nbrs[v] if u not in placed), case
+                    here = [u for u in range(n) if first_full.get(u) == i]
+                    assert sorted(sealed[i]) == here, case
+                for u in range(n):
+                    assert last[u] == max((order.index(w) for w in nbrs[u]), default=-1), case
+                    assert close[u] == first_full[u], case
+                assert _frontier(nbrs, order) == frontier_reference(nbrs, order), case
 
     @pytest.mark.parametrize("kind,width", [("cycle", 2), ("path", 1)])
     def test_long_strip_search_order(self, kind, width):
