@@ -123,7 +123,8 @@ class OptimalityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helpers (adjacency masks, sealed-0 checks, the residual bound)
+# shared low-level helpers (adjacency masks, sealed-0 checks, and the residual
+# bound, which is the per-solve context of the branch and bound)
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +167,15 @@ def _seal_conflict(adj, nbrs, labels, two_mask, seal, close, i, use_pairs) -> bo
 
 
 class _Discharge:
-    """Residual discharging bound on the weight the undecided vertices need.
+    """The per-solve context of the branch and bound: one graph at one attack
+    number, and the residual discharging bound on the weight its undecided
+    vertices need.
+
+    It holds the sorted neighbor tuples ``nbrs``, the adjacency masks ``adj``
+    (built here, the one ``_masks`` call of a branch-and-bound solve),
+    ``attack_n``, the charges below and ``root``, the state with every
+    vertex undecided.  Every pass of a solve runs ``_search`` on this one
+    object.
 
     In a valid labeling each 2-vertex w sends a_w = 2/(deg w + 3) to each
     0-neighbor and a second a_w to its private 0-neighbor (at attack >= 2 it
@@ -187,32 +196,29 @@ class _Discharge:
     charge balance, |F|, and the bound nf + ceil(max(0, t) / scale).
     """
 
-    __slots__ = ("adj", "scale", "charge", "share", "bonus")
+    __slots__ = ("nbrs", "adj", "attack_n", "scale", "charge", "share", "bonus", "root")
 
-    def __init__(self, adj: Sequence[int], attack_n: int):
-        self.adj = adj
-        deg = [a.bit_count() for a in adj]
+    def __init__(self, nbrs: Sequence[tuple[int, ...]], attack_n: int):
+        self.nbrs = nbrs
+        self.adj = _masks(nbrs)
+        self.attack_n = attack_n
+        deg = [len(t) for t in nbrs]
         slack, need = (3, 4) if attack_n >= 2 else (1, 2)
         scale = 1
         for d in set(deg):
             scale = lcm(scale, d + slack)
         self.scale = scale
-        top = deg[:]
-        for v, a in enumerate(adj):
-            while a:
-                b = a & -a
-                a ^= b
-                d = deg[b.bit_length() - 1]
-                if d > top[v]:
-                    top[v] = d
+        at = deg.__getitem__
+        top = [max((d, *map(at, t))) for d, t in zip(deg, nbrs)]
         self.charge = [min(scale, need * scale // (m + slack)) for m in top]
         self.share = [2 * scale // (d + slack) for d in deg]
-        self.bonus = self.share if attack_n >= 2 else [0] * len(adj)
+        self.bonus = self.share if attack_n >= 2 else [0] * len(nbrs)
+        self.root = self.state((1 << len(nbrs)) - 1)
 
     def state(self, undecided: int, two_mask: int = 0) -> tuple[int, int, int]:
         """The state of a node computed from scratch from the masks of its
-        undecided vertices and of its 2s: the root state, and the reference
-        that ``step`` must match."""
+        undecided vertices and of its 2s: it gives ``root``, and it is the
+        reference that ``step`` must match."""
         adj = self.adj
         t = nf = 0
         for u in iter_bits(undecided):
@@ -402,20 +408,21 @@ def _seal_tables(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]):
     return last, close, sealed, later
 
 
-def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
-            labs: tuple[int, ...], wmax: int, tlo: int, thi: int, leaf) -> int:
+def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int, thi: int,
+            leaf) -> int:
     """The one branch-and-bound core: a DFS over label vectors.
 
     Labels the vertices in ``order``, trying the labels ``labs`` at each.
-    ``adj`` holds the adjacency masks and ``nbrs`` the sorted neighbor
-    tuples of one graph, and ``bound`` is its ``_Discharge``.  A child is cut
-    when its weight plus the bound of the rest exceeds ``wmax``, when its
-    2-count leaves the window [``tlo``, ``thi``] (the rest can add at most
-    half the weight left under ``wmax`` in 2s; ``thi`` = n is no cap), or on
-    ``_seal_conflict``.  At each labeling that ``first_violation`` passes it
-    calls the leaf rule ``leaf(labels, wgt, twos)`` with the live label
-    vector, which returns the new limits (wmax, tlo, thi), or None to stop.
-    Returns the number of nodes explored, leaves included.
+    ``bound`` is the solve's ``_Discharge``: the search reads the graph's
+    neighbor tuples, adjacency masks and attack number off it and starts at
+    its root state.  A child is cut when its weight plus the bound of the
+    rest exceeds ``wmax``, when its 2-count leaves the window [``tlo``,
+    ``thi``] (the rest can add at most half the weight left under ``wmax``
+    in 2s; ``thi`` = n is no cap), or on ``_seal_conflict``.  At each
+    labeling that ``first_violation`` passes it calls the leaf rule
+    ``leaf(labels, wgt, twos)`` with the live label vector, which returns the
+    new limits (wmax, tlo, thi), or None to stop.  Returns the number of
+    nodes explored, leaves included.
 
     Decided means placed: at depth i the vertices before position i carry
     their labels in ``labels`` and the rest are undecided.  The tables of
@@ -423,6 +430,7 @@ def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
     and which neighbors of ``order[i]`` come after it, so a node carries
     only (depth, mask of 2s, weight, 2-count, bound state).
     """
+    nbrs, adj, attack_n = bound.nbrs, bound.adj, bound.attack_n
     n = len(adj)
     use_pairs = attack_n >= 2
     last, close, sealed, later = _seal_tables(nbrs, order)
@@ -465,7 +473,7 @@ def _search(adj: Sequence[int], nbrs, attack_n: int, bound: _Discharge, order,
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)
     try:
-        rec(0, 0, 0, 0, bound.state((1 << n) - 1))
+        rec(0, 0, 0, 0, bound.root)
     finally:
         sys.setrecursionlimit(limit)
         del rec  # ``rec`` refers to itself: drop the cycle with the pass
@@ -476,9 +484,11 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     """Exact minimum weight by branch and bound.
 
     Every pass is one run of the DFS core ``_search``, and all passes of a
-    solve share one ``_Discharge``: the residual discharging bound (the
-    paper's gamma >= 4n/(Delta + 3), applied to the undecided part) that
-    cuts subtrees.  The passes run in the order of the README's pass table:
+    solve share one ``_Discharge``, built once: it holds the graph's
+    neighbor tuples and adjacency masks, the attack number, and the residual
+    discharging bound (the paper's gamma >= 4n/(Delta + 3), applied to the
+    undecided part) that cuts subtrees, with its root state.  The passes run
+    in the order of the README's pass table:
 
     * optimum: vertices in ``_search_order``, labels 0, 2, 1.  The incumbent
       starts at the all-1 labeling, which is always valid, and each valid
@@ -506,9 +516,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     start = time.perf_counter()
     n = graph.order
     nbrs = graph.neighbor_tuples()
-    adj = _masks(nbrs)
-    attack = opts.attack_n
-    bound = _Discharge(adj, attack)
+    bound = _Discharge(nbrs, opts.attack_n)
     order, _, width = _search_order(nbrs)
     cap = n if opts.max_twos is None else opts.max_twos
     tlo, thi = 0, cap
@@ -519,7 +527,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
         gamma = wgt
         return wgt - 1, 0, cap
 
-    nodes = _search(adj, nbrs, attack, bound, order, (0, 2, 1), n - 1, 0, cap, lower)
+    nodes = _search(bound, order, (0, 2, 1), n - 1, 0, cap, lower)
     if opts.two_mode != "any":
         most = opts.two_mode == "maximize_twos"
 
@@ -528,8 +536,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
             tlo = thi = twos
             return (gamma, twos + 1, n) if most else (gamma, 0, twos - 1)
 
-        _search(adj, nbrs, attack, bound, order, (2, 0, 1) if most else (0, 1, 2),
-                gamma, 0, n, extremal)
+        _search(bound, order, (2, 0, 1) if most else (0, 1, 2), gamma, 0, n, extremal)
     found = []
     keep = (gamma, 0, cap) if opts.enumerate_all else None
 
@@ -538,7 +545,7 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
         return keep
 
     window = (0, cap) if opts.enumerate_all else (tlo, thi)
-    _search(adj, nbrs, attack, bound, range(n), (0, 1, 2), gamma, *window, collect)
+    _search(bound, range(n), (0, 1, 2), gamma, *window, collect)
     first = next(labs for labs in found if tlo <= labs.count(2) <= thi)
     all_minimum = feasible = None
     if opts.enumerate_all:
@@ -770,11 +777,17 @@ def _leaf_dfs(adj, order, outside, pmask, k, used, cost, leaves, best):
             leaves.pop()
 
 
+def _max_packing(graph: Graph) -> tuple[EccdSet, int]:
+    """The packing route's setup and sweep: the first maximum packing in the
+    sweep's order, and the inner sets that reached its per-set test."""
+    adj = _masks(graph.neighbor_tuples())
+    score, sol, nodes = _max_eccd_engine(adj)
+    return _assemble_eccd(adj, score, sol), nodes
+
+
 def max_eccd(graph: Graph) -> EccdSet:
     """A maximum end-coupled center-disjoint P5 packing, deterministically."""
-    adj = _masks(graph.neighbor_tuples())
-    score, sol, _ = _max_eccd_engine(adj)
-    return _assemble_eccd(adj, score, sol)
+    return _max_packing(graph)[0]
 
 
 def _assemble_eccd(adj: Sequence[int], score: int, sol) -> EccdSet:
@@ -818,9 +831,7 @@ def eccd_to_labeling(graph: Graph, eccd: EccdSet) -> Labeling:
 def gamma_via_eccd(graph: Graph) -> SolveResult:
     """Minimum weight via the maximum packing; attack number 2 only."""
     start = time.perf_counter()
-    adj = _masks(graph.neighbor_tuples())
-    score, sol, nodes = _max_eccd_engine(adj)
-    eccd = _assemble_eccd(adj, score, sol)
+    eccd, nodes = _max_packing(graph)
     witness = eccd_to_labeling(graph, eccd)
     gamma = graph.order - len(eccd)
     if witness.weight != gamma:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import iter_bits, mask_of
-from tworoman.solver import _Discharge, _masks, _min_cost_leaf_assignment, _search
+from tworoman.solver import _Discharge, _min_cost_leaf_assignment, _search
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -162,7 +162,6 @@ def bb_gamma_degree_order(graph: Graph, attack_n: int, max_twos: int | None) -> 
     """
     n = graph.order
     nbrs = graph.neighbor_tuples()
-    adj = _masks(nbrs)
     cap = n if max_twos is None else max_twos
     order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
     gamma = [n]
@@ -171,8 +170,7 @@ def bb_gamma_degree_order(graph: Graph, attack_n: int, max_twos: int | None) -> 
         gamma[0] = wgt
         return wgt - 1, 0, cap
 
-    _search(adj, nbrs, attack_n, _Discharge(adj, attack_n), order, (0, 2, 1), n - 1, 0, cap,
-            lower)
+    _search(_Discharge(nbrs, attack_n), order, (0, 2, 1), n - 1, 0, cap, lower)
     return gamma[0]
 
 

@@ -114,11 +114,11 @@ class TestDischargeBound:
             n = rng.randint(1, 7)
             g = _random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.7)))
             nbrs = g.neighbor_tuples()
-            adj = _masks(nbrs)
             for attack in (1, 2, 3):
                 minima = naive_minimum_labelings(g, attack)
                 gamma = sum(minima[0])
-                bound = _Discharge(adj, attack)
+                bound = _Discharge(nbrs, attack)
+                assert bound.root == bound.state((1 << n) - 1)
                 for labels in minima:
                     for order in self._prefix_orders(nbrs):
                         _, last = _positions(nbrs, order)
@@ -140,10 +140,10 @@ class TestDischargeBound:
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
-        adj = _masks(g.neighbor_tuples())
+        nbrs = g.neighbor_tuples()
         for attack in (1, 2):
-            assert _Discharge(adj, attack).state(0b1111)[2] == 4
-            assert _Discharge(adj, attack).state(0b1100, 0b0001)[2] == 2
+            assert _Discharge(nbrs, attack).state(0b1111)[2] == 4
+            assert _Discharge(nbrs, attack).state(0b1100, 0b0001)[2] == 2
             assert gamma_bruteforce(g, SolveOptions(attack_n=attack)).gamma == 4
 
     @pytest.mark.parametrize("attack", [1, 2, 3])
@@ -177,9 +177,7 @@ class TestDischargeBound:
 class TestSearchCore:
     def test_leaf_can_stop_the_search(self):
         g = fam("cycle", 10)
-        nbrs = g.neighbor_tuples()
-        adj = _masks(nbrs)
-        bound = _Discharge(adj, 2)
+        bound = _Discharge(g.neighbor_tuples(), 2)
         gamma = gamma_bruteforce(g).gamma
         leaves = []
 
@@ -187,11 +185,11 @@ class TestSearchCore:
             leaves.append(tuple(labels))
             return gamma, 0, 10
 
-        every = _search(adj, nbrs, 2, bound, range(10), (0, 1, 2), gamma, 0, 10, keep)
+        every = _search(bound, range(10), (0, 1, 2), gamma, 0, 10, keep)
         minima = [m.labels for m in enumerate_minimum_labelings(g)]
         assert leaves == minima and len(leaves) > 1
         leaves.clear()
-        first = _search(adj, nbrs, 2, bound, range(10), (0, 1, 2), gamma, 0, 10,
+        first = _search(bound, range(10), (0, 1, 2), gamma, 0, 10,
                         lambda labels, wgt, twos: leaves.append(tuple(labels)))
         assert leaves == minima[:1] and first < every
 
@@ -216,9 +214,9 @@ class TestSearchCore:
         calls = []
         real = solver_module._search
 
-        def spy(adj, nbrs, attack_n, bound, vertices, labs, wmax, tlo, thi, leaf):
+        def spy(bound, vertices, labs, wmax, tlo, thi, leaf):
             calls.append((list(vertices), labs, wmax, tlo, thi))
-            return real(adj, nbrs, attack_n, bound, vertices, labs, wmax, tlo, thi, leaf)
+            return real(bound, vertices, labs, wmax, tlo, thi, leaf)
 
         monkeypatch.setattr(solver_module, "_search_order", lambda nbrs: (order, 0, 0))
         monkeypatch.setattr(solver_module, "_search", spy)
@@ -236,6 +234,47 @@ class TestSearchCore:
         # the enumeration lists every minimum labeling under the 2-cap alone
         want.append((ids, (0, 1, 2), gamma, *((0, cap) if opts.enumerate_all else window)))
         assert calls == want
+
+    def test_one_context_per_solve(self, monkeypatch):
+        # Every pass reads the graph off one _Discharge: one set of masks and
+        # one from-scratch root state per solve, whatever the passes.
+        g = fam("grid", 3, 4)
+        masks, states = [], []
+        real_masks, real_state = solver_module._masks, _Discharge.state
+        monkeypatch.setattr(solver_module, "_masks",
+                            lambda nbrs: masks.append(nbrs) or real_masks(nbrs))
+        monkeypatch.setattr(_Discharge, "state",
+                            lambda self, *args: states.append(args) or real_state(self, *args))
+        opts = SolveOptions(two_mode="maximize_twos", enumerate_all=True)
+        result = gamma_bruteforce(g, opts)
+        assert len(masks) == 1 and states == [((1 << g.order) - 1,)]
+        assert len(result.all_minimum) > 1
+
+    def test_sealed_checks_leave_no_invalid_leaf(self, monkeypatch):
+        # At attacks 1 and 2 _seal_conflict checks every vertex where it is
+        # sealed, so the leaf check never rejects a labeling; at attack 3
+        # only the leaf check sees a deficient set of three 0s.
+        leaves = {1: [0, 0], 2: [0, 0], 3: [0, 0]}  # attack: [leaves, rejected]
+        real = solver_module.first_violation
+
+        def spy(nbrs, labels, attack_n):
+            witness = real(nbrs, labels, attack_n)
+            leaves[attack_n][0] += 1
+            leaves[attack_n][1] += witness is not None
+            return witness
+
+        monkeypatch.setattr(solver_module, "first_violation", spy)
+        opts = [dict(attack_n=a, **kw) for a in (1, 2, 3)
+                for kw in ({}, {"enumerate_all": True}, {"max_twos": 1}, {"max_twos": 2})]
+        opts += [{"two_mode": m} for m in ("minimize_twos", "maximize_twos")]
+        rng = random.Random(24)
+        for _ in range(80):
+            g = _random_graph(rng, rng.randint(1, 11), rng.choice((0.2, 0.35, 0.5)))
+            for kw in opts:
+                gamma_bruteforce(g, SolveOptions(method="bruteforce", **kw))
+        assert leaves[1][0] > 0 and leaves[2][0] > 0
+        assert leaves[1][1] == leaves[2][1] == 0, leaves
+        assert leaves[3][1] > 0, leaves
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_recursion_past_the_interpreter_limit(self, kind):
