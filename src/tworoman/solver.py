@@ -189,11 +189,17 @@ class _Discharge:
     At a search node with undecided set U, the forced set F (undecided
     vertices whose neighbors are all decided, none labeled 2) needs at least
     1 each, and the rest needs at least
-        sum_{u in U-F} c_u - sum_{decided 2s w} a_w (k_w + [k_w > 0]),
+        sum_{u in U-F} c_u - sum_{decided 2s w} a_w (k_w + [k_w > 0])
+                           + sum_{z in O} c_z,
     k_w the number of undecided neighbors of w, since decided 2s are the
-    only outside source of charge for U-F.  Arithmetic is in integers scaled
-    by the lcm of the denominators.  A state is (t, nf, extra): the scaled
-    charge balance, |F|, and the bound nf + ceil(max(0, t) / scale).
+    only outside source of charge for U-F (F has no undecided neighbor).
+    O, the owed set, holds the decided 0s with an undecided neighbor, no
+    decided 2-neighbor and no neighbor in F.  Every 2-neighbor that such a
+    z ends with lies in U-F, so U-F sends z at least c_z on top of its own
+    need.  A vertex of F may still become z's 2, which is why a 0 next to F
+    owes nothing.  Arithmetic is in integers scaled by the lcm of the
+    denominators.  A state is (t, nf, extra, owed): the scaled charge
+    balance, |F|, the bound nf + ceil(max(0, t) / scale) and the mask of O.
     """
 
     __slots__ = ("nbrs", "adj", "attack_n", "scale", "charge", "share", "bonus", "root")
@@ -215,56 +221,106 @@ class _Discharge:
         self.bonus = self.share if attack_n >= 2 else [0] * len(nbrs)
         self.root = self.state((1 << len(nbrs)) - 1)
 
-    def state(self, undecided: int, two_mask: int = 0) -> tuple[int, int, int]:
+    def state(self, undecided: int, two_mask: int = 0,
+              zero_mask: int = 0) -> tuple[int, int, int, int]:
         """The state of a node computed from scratch from the masks of its
-        undecided vertices and of its 2s: it gives ``root``, and it is the
-        reference that ``step`` must match."""
+        undecided vertices, its 2s and its 0s: it gives ``root``, and it is
+        the reference that ``step`` must match."""
         adj = self.adj
-        t = nf = 0
+        charge = self.charge
+        t = nf = forced = owed = 0
         for u in iter_bits(undecided):
             if adj[u] & (undecided | two_mask):
-                t += self.charge[u]
+                t += charge[u]
             else:
                 nf += 1
+                forced |= 1 << u
         for w in iter_bits(two_mask):
             k = (adj[w] & undecided).bit_count()
             if k:
                 t -= self.share[w] * k + self.bonus[w]
-        return t, nf, nf + (-(-t // self.scale) if t > 0 else 0)
+        for z in iter_bits(zero_mask):
+            if adj[z] & undecided and not adj[z] & (two_mask | forced):
+                owed |= 1 << z
+                t += charge[z]
+        return t, nf, nf + (-(-t // self.scale) if t > 0 else 0), owed
 
-    def step(self, state, v: int, i: int, last: Sequence[int], later: Sequence[int],
-             two_mask: int):
-        """States after deciding v = order[i], as (v labeled 0 or 1, v labeled 2).
+    def step(self, state, v: int, i: int, last: Sequence[int], close: Sequence[int],
+             later: Sequence[int], two_mask: int, labels: Sequence[int]):
+        """The states after deciding v = order[i], indexed by v's label.
 
         After the step a vertex is undecided when its position exceeds i, so
         w has an undecided neighbor when ``last[w]``, the position of its last
-        neighbor, exceeds i.  ``later`` lists the neighbors of v after i and
-        ``two_mask`` the 2s before v is labeled; the work is O(deg v).
+        neighbor, exceeds i, and it is in F when ``last[w] <= i < close[w]``
+        and it has no 2-neighbor.  ``later`` lists the neighbors of v after
+        i, ``two_mask`` the 2s before v is labeled and ``labels`` the labels
+        of the decided vertices.  O changes as follows: a 2 takes its
+        neighbors out; a vertex entering F takes its neighbors out; a 0 with
+        no 2-neighbor, a later neighbor and no neighbor entering F joins; and
+        an F vertex labeled 0 or 1 leaves F and puts back its 0-neighbors
+        that still have an undecided neighbor, no 2-neighbor and no other
+        neighbor in F.  The work is O(deg v), plus O(deg^2) when v leaves F.
+        A child that leaves a 0 of O with no undecided neighbor differs from
+        ``state``, which drops that 0, but ``_seal_conflict`` cuts it.
         """
         adj = self.adj
-        share = self.share
         charge = self.charge
         scale = self.scale
-        t, nf, _ = state
+        t, nf, _, owed = state
         av = adj[v]
-        if last[v] > i or av & two_mask:
-            t -= charge[v]
-        else:
-            nf -= 1  # v was forced
-        m = av & two_mask
+        near = av & two_mask
+        if not later and not near:
+            # v leaves F: no neighbor of v is in O, and none enters F
+            nf -= 1
+            two = (t, nf, nf + (-(-t // scale) if t > 0 else 0), owed)
+            nbrs = self.nbrs
+            for z in nbrs[v]:
+                if labels[z] == 0 and last[z] > i and not adj[z] & two_mask:
+                    for x in nbrs[z]:
+                        if last[x] <= i < close[x] and not adj[x] & two_mask:
+                            break
+                    else:
+                        owed |= 1 << z
+                        t += charge[z]
+            one = (t, nf, nf + (-(-t // scale) if t > 0 else 0), owed)
+            return one, one, two
+        share = self.share
+        t -= charge[v]
+        m = near
         while m:
             b = m & -m
             m ^= b
             w = b.bit_length() - 1
             t += share[w] if last[w] > i else share[w] + self.bonus[w]
-        k = len(later)
-        t2 = t - share[v] * k - self.bonus[v] if k else t
-        two = (t2, nf, nf + (-(-t2 // scale) if t2 > 0 else 0))
+        t2 = t - share[v] * len(later) - self.bonus[v] if later else t
+        m = owed & av
+        if m:
+            kept = owed ^ m
+            while m:
+                b = m & -m
+                m ^= b
+                t2 -= charge[b.bit_length() - 1]
+        else:
+            kept = owed
+        two = (t2, nf, nf + (-(-t2 // scale) if t2 > 0 else 0), kept)
+        joins = not near  # v has a later neighbor here
         for u in later:
-            if last[u] <= i and adj[u] & two_mask == 0:  # u is now forced
+            if last[u] <= i and not adj[u] & two_mask:  # u is now forced
                 nf += 1
                 t -= charge[u]
-        return (t, nf, nf + (-(-t // scale) if t > 0 else 0)), two
+                joins = False
+                m = owed & adj[u]
+                if m:
+                    owed ^= m
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        t -= charge[b.bit_length() - 1]
+        one = (t, nf, nf + (-(-t // scale) if t > 0 else 0), owed)
+        if not joins:
+            return one, one, two
+        t += charge[v]
+        return (t, nf, nf + (-(-t // scale) if t > 0 else 0), owed | 1 << v), one, two
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +484,10 @@ def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int
     their labels in ``labels`` and the rest are undecided.  The tables of
     ``_seal_tables``, built once per call, say where each vertex is sealed
     and which neighbors of ``order[i]`` come after it, so a node carries
-    only (depth, mask of 2s, weight, 2-count, bound state).
+    only (depth, mask of 2s, weight, 2-count, bound state).  One
+    ``bound.step`` per node gives the bound states of its children indexed
+    by label, so each child reads ``kids[lab]``; the states of the 0-child
+    and the 1-child differ when a 0 there starts to owe charge.
     """
     nbrs, adj, attack_n = bound.nbrs, bound.adj, bound.attack_n
     n = len(adj)
@@ -451,13 +510,14 @@ def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int
                     wmax, tlo, thi = new
             return
         v = order[idx]
-        low, high = step(state, v, idx, last, later[idx], two_mask)
+        kids = step(state, v, idx, last, close, later[idx], two_mask, labels)
         seal = sealed[idx]
         for lab in labs:
+            st = kids[lab]
             if lab == 2:
-                st, t2, m2 = high, twos + 1, two_mask | 1 << v
+                t2, m2 = twos + 1, two_mask | 1 << v
             else:
-                st, t2, m2 = low, twos, two_mask
+                t2, m2 = twos, two_mask
             w2 = wgt + lab
             if w2 + st[2] > wmax or t2 > thi or tlo and t2 + (wmax - w2) // 2 < tlo:
                 continue
@@ -487,7 +547,8 @@ def gamma_bruteforce(graph: Graph, opts: SolveOptions | None = None) -> SolveRes
     solve share one ``_Discharge``, built once: it holds the graph's
     neighbor tuples and adjacency masks, the attack number, and the residual
     discharging bound (the paper's gamma >= 4n/(Delta + 3), applied to the
-    undecided part) that cuts subtrees, with its root state.  The passes run
+    undecided part, plus the charge it owes the decided 0s that have no
+    2-neighbor) that cuts subtrees, with its root state.  The passes run
     in the order of the README's pass table:
 
     * optimum: vertices in ``_search_order``, labels 0, 2, 1.  The incumbent

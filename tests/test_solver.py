@@ -121,20 +121,21 @@ class TestDischargeBound:
                 assert bound.root == bound.state((1 << n) - 1)
                 for labels in minima:
                     for order in self._prefix_orders(nbrs):
-                        _, last = _positions(nbrs, order)
+                        last, close, _, later = _seal_tables(nbrs, order)
                         und = (1 << n) - 1
-                        twos = wgt = 0
+                        twos = zeros = wgt = 0
                         state = bound.state(und)
                         assert state[2] <= gamma
                         for i, v in enumerate(order):
                             und &= ~(1 << v)
-                            later = [u for u in nbrs[v] if und >> u & 1]
-                            low, high = bound.step(state, v, i, last, later, twos)
-                            state = high if labels[v] == 2 else low
+                            kids = bound.step(state, v, i, last, close, later[i], twos, labels)
+                            state = kids[labels[v]]
                             wgt += labels[v]
                             if labels[v] == 2:
                                 twos |= 1 << v
-                            assert state == bound.state(und, twos)
+                            elif labels[v] == 0:
+                                zeros |= 1 << v
+                            assert state == bound.state(und, twos, zeros)
                             assert state[2] <= gamma - wgt, (
                                 n, list(g.edges()), attack, labels, order)
 
@@ -168,10 +169,37 @@ class TestDischargeBound:
     def test_c24_pin(self):
         assert gamma_bruteforce(fam("cycle", 24)).gamma == 20
 
+    @pytest.mark.parametrize("n,edges,opts,want", [
+        (6, [(0, 4), (1, 4), (1, 5), (2, 5)], SolveOptions(attack_n=2), 5),
+        (5, [(1, 2), (1, 4), (2, 4)], SolveOptions(attack_n=1, enumerate_all=True), 3),
+    ], ids=["witness-attack2", "enumerate-attack1"])
+    def test_zero_next_to_forced_vertex_owes_nothing(self, n, edges, opts, want):
+        # A decided 0 next to a forced vertex may get that vertex as its 2,
+        # so it owes the undecided part nothing: counting it cuts the only
+        # minimum labeling of the first graph (gamma 5) from the witness pass,
+        # and the lex-first of the three on the second from the enumeration.
+        g = build_graph(n, edges)
+        minima = naive_minimum_labelings(g, opts.attack_n)
+        result = gamma_bruteforce(g, opts)
+        assert result.gamma == sum(minima[0])
+        assert result.labeling.labels == minima[0]
+        if opts.enumerate_all:
+            assert [m.labels for m in result.all_minimum] == minima
+            assert len(minima) == want
+        else:
+            assert result.gamma == want
+
     def test_c18_node_pin(self):
         result = gamma_bruteforce(fam("cycle", 18))
         assert result.gamma == 15
         assert result.stats.nodes <= 2000
+
+    def test_c20_attack3_node_pin(self):
+        # The owed charge of the decided 0s with no 2-neighbor: 29,227 nodes,
+        # 58,585 without it.
+        result = gamma_bruteforce(fam("cycle", 20), SolveOptions(attack_n=3))
+        assert result.gamma == 18
+        assert result.stats.nodes <= 40_000
 
 
 class TestSearchCore:
@@ -355,8 +383,8 @@ class TestSealOrder:
             assert most.count(2) == max(counts), case
 
     @pytest.mark.parametrize("g,gamma,limit", [
-        (fam("grid", 4, 4), 11, 1_000),
-        (fam("grid", 5, 5), 17, 40_000),
+        (fam("grid", 4, 4), 11, 250),
+        (fam("grid", 5, 5), 17, 10_000),
         (sierpinski_graph(3), 24, 2_000),
         (fam("grid", 3, 6), 13, 2_000),
         (fam("grid", 4, 6), 16, 2_000),
@@ -371,7 +399,7 @@ class TestSealOrder:
         # this grid in id order
         result = gamma_bruteforce(fam("grid", 4, 8))
         assert result.gamma == 22
-        assert result.stats.nodes <= 100_000
+        assert result.stats.nodes <= 40_000
 
     @pytest.mark.parametrize("g", SCAN_CORPUS, ids=SCAN_IDS)
     def test_started_scan_breaks_ties_by_distance(self, g):
