@@ -5,13 +5,14 @@ carries a bijective map to external ids (the numbering used in input files);
 for graphs built directly in code the two numberings coincide.  Adjacency is
 stored as one sorted tuple of neighbor ids per vertex, and that is the only
 adjacency format a graph holds: file output, DOT export, validation and the
-traversals here read it.  The searches in ``solver`` build their own
-per-vertex bitmasks from these tuples for the length of one solve.
+traversals here read it.  The two solver routes, ``search`` and
+``packing``, build their own per-vertex bitmasks from these tuples with
+``neighbor_masks`` for the length of one solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import EmptyGraphError, OutOfRangeError, SelfLoopError
 
@@ -22,6 +23,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def neighbor_masks(nbrs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """One adjacency bitmask per vertex, from sorted neighbor tuples: the
+    format of the searches.  Each mask is packed relative to the smallest
+    neighbor and shifted once, so each step works on a small int."""
+    return tuple(mask_of(v - t[0] for v in t) << t[0] if t else 0 for t in nbrs)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import iter_bits, mask_of
-from tworoman.solver import _Discharge, _min_cost_leaf_assignment, _search
+from tworoman.packing import _min_cost_leaf_assignment
+from tworoman.search import _Discharge, _search
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -86,7 +87,7 @@ def max_eccd_reference(graph: Graph) -> EccdSet:
 
 
 def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
-    """The unpruned inner-set sweep that ``solver._max_eccd_engine`` replaces.
+    """The unpruned inner-set sweep that ``packing._max_eccd_engine`` replaces.
 
     Visits every inner set in (size, lex) order and keeps the first one that
     strictly beats the incumbent; the pruned engine must return the same
@@ -130,7 +131,7 @@ def eccd_sweep_reference(adj: list[int]) -> tuple[int, tuple | None, int]:
 def frontier_reference(nbrs, order) -> tuple[int, int]:
     """(sum of squared frontier widths, largest width) over the prefixes of
     ``order``, each frontier counted from scratch: the quadratic reference
-    for ``solver._frontier``."""
+    for ``search._frontier``."""
     adj = [mask_of(t) for t in nbrs]
     placed = score = top = 0
     for v in order:

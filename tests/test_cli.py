@@ -233,15 +233,22 @@ class TestTiling:
 ], ids=["validate", "validate-a3", "gen", "tiling", "tiling-verify"])
 def test_commands_without_a_search_build_no_masks(capsys, monkeypatch, fixtures_dir,
                                                   tmp_path, argv):
-    # The solver is the only module that builds adjacency bitmasks.
-    solver = importlib.import_module("tworoman.solver")
+    # The two solver routes are the only modules that build adjacency bitmasks.
     argv = [fixture(fixtures_dir, a) if a.startswith("fig") else
             str(tmp_path / a) if "." in a else a for a in argv]
     built = []
-    real = solver._masks
-    monkeypatch.setattr(solver, "_masks", lambda nbrs: built.append(nbrs) or real(nbrs))
+    for name in ("tworoman.search", "tworoman.packing"):
+        route = importlib.import_module(name)
+        real = route.neighbor_masks
+        monkeypatch.setattr(route, "neighbor_masks",
+                            lambda nbrs, real=real: built.append(nbrs) or real(nbrs))
     assert run(capsys, *argv)[0] in (0, 1)
     assert built == []
+    # the spies see the builds of a command that does search, one per route
+    p4 = fixture(fixtures_dir, "p4.txt")
+    for method in ("eccd", "bruteforce"):
+        assert run(capsys, "solve", p4, "--method", method)[0] == 0
+    assert len(built) == 2
 
 
 class TestExitCodes:

@@ -7,8 +7,7 @@ from tworoman import (EmptyGraphError, FamilySpec, Graph, OutOfRangeError, Patch
                       SelfLoopError, assign_private_neighbors, ball, build_graph,
                       generate, generate_patch, induced_subgraph, max_degree,
                       open_neighborhood, solve)
-from tworoman.graph import iter_bits
-from tworoman.solver import _masks
+from tworoman.graph import iter_bits, neighbor_masks
 
 
 class TestBuildGraph:
@@ -189,7 +188,7 @@ CONSTRUCTIONS = {
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
 def test_neighbor_tuples_agree_with_masks(build):
     g = build()
-    masks = _masks(g.neighbor_tuples())
+    masks = neighbor_masks(g.neighbor_tuples())
     for v in g.vertices():
         nbrs = g.neighbors(v)
         assert list(nbrs) == sorted(nbrs)
@@ -215,8 +214,9 @@ def test_two_constructions_are_equal(build):
         fresh,
         Graph(g.order, edges, g.external_ids),
         build_graph(g.order, [(v, u) for u, v in reversed(edges)], g.external_ids),
-        Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in _masks(g.neighbor_tuples())),
-                              g.external_ids),
+        Graph._from_neighbors(
+            tuple(tuple(iter_bits(m)) for m in neighbor_masks(g.neighbor_tuples())),
+            g.external_ids),
     ]
     for other in rebuilt:
         assert other == g and hash(other) == hash(g)
@@ -226,7 +226,7 @@ def test_two_constructions_are_equal(build):
 
 def test_random_graphs_roundtrip_through_masks():
     for g in random_graphs(30, seed=1515):
-        masks = _masks(g.neighbor_tuples())
+        masks = neighbor_masks(g.neighbor_tuples())
         assert Graph._from_neighbors(tuple(tuple(iter_bits(m)) for m in masks)) == g
         assert [g.neighbors(v) for v in g.vertices()] == [
             tuple(iter_bits(m)) for m in masks]

@@ -4,6 +4,7 @@ The load checks run in a fresh interpreter: pytest itself has imported
 ``dataclasses`` and, by now, every ``tworoman`` module.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -41,6 +42,10 @@ HOMES = {
                 "find_pattern", "generate_patch", "pattern_labeling", "pattern_table",
                 "verify_pattern"],
 }
+
+# The exact routes, which cross-check each other, so none may import another,
+# nor ``solver`` or ``cli``, which import the routes.
+ROUTES = ("search", "packing")
 
 # Runs ``python -m tworoman ARGS`` in this interpreter and prints the exit
 # code, then every module the command loaded.
@@ -87,7 +92,8 @@ def test_light_commands_skip_solver_and_tilings(argv):
     code, modules = loaded_by(*argv)
     assert code == 0
     assert "tworoman.cli" in modules
-    assert not modules & {"tworoman.solver", "tworoman.tilings", "dataclasses", "fractions"}
+    assert not modules & {"tworoman.solver", "tworoman.search", "tworoman.packing",
+                          "tworoman.tilings", "dataclasses", "fractions"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,3 +136,29 @@ def test_unknown_name_is_attribute_error():
         tworoman.no_such_name
     with pytest.raises(ImportError):
         exec("from tworoman import no_such_name", {})
+
+
+def imported_submodules(module):
+    """The ``tworoman`` submodules that ``module``'s source imports, read with
+    ``ast``; a public name imported from the package counts as its home."""
+    tree = ast.parse((SRC / "tworoman" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("tworoman."))
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            path = ".".join(filter(None, ("tworoman" if node.level else "", node.module)))
+            if path == "tworoman":
+                found.update(tworoman._HOME.get(alias.name, alias.name)
+                             for alias in node.names)
+            elif path.startswith("tworoman."):
+                found.add(path.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_routes_import_no_other_route(route):
+    imported = imported_submodules(route)
+    assert "graph" in imported  # every route reads the graph: the reader sees imports
+    assert not imported & ({"solver", "cli", *ROUTES} - {route})

@@ -19,12 +19,13 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       generate, is_optimal, max_eccd,
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
-from tworoman import limits, solver as solver_module, tilings
-from tworoman.graph import iter_bits, mask_of
-from tworoman.solver import (_assemble_eccd, _Discharge, _eccd_gain_table, _frontier,
-                             _masks, _max_eccd_engine, _min_cost_leaf_assignment,
-                             _packing_pays, _positions, _seal_scan, _seal_tables, _search,
-                             _search_order)
+from tworoman import limits, packing, search, solver as solver_module, tilings
+from tworoman.graph import iter_bits, mask_of, neighbor_masks
+from tworoman.packing import (_assemble_eccd, _eccd_gain_table, _max_eccd_engine,
+                              _min_cost_leaf_assignment)
+from tworoman.search import (_Discharge, _frontier, _positions, _seal_scan, _seal_tables,
+                             _search, _search_order)
+from tworoman.solver import _packing_pays
 
 
 def fam(kind, *params):
@@ -268,8 +269,8 @@ class TestSearchCore:
         # one from-scratch root state per solve, whatever the passes.
         g = fam("grid", 3, 4)
         masks, states = [], []
-        real_masks, real_state = solver_module._masks, _Discharge.state
-        monkeypatch.setattr(solver_module, "_masks",
+        real_masks, real_state = search.neighbor_masks, _Discharge.state
+        monkeypatch.setattr(search, "neighbor_masks",
                             lambda nbrs: masks.append(nbrs) or real_masks(nbrs))
         monkeypatch.setattr(_Discharge, "state",
                             lambda self, *args: states.append(args) or real_state(self, *args))
@@ -283,7 +284,7 @@ class TestSearchCore:
         # sealed, so the leaf check never rejects a labeling; at attack 3
         # only the leaf check sees a deficient set of three 0s.
         leaves = {1: [0, 0], 2: [0, 0], 3: [0, 0]}  # attack: [leaves, rejected]
-        real = solver_module.first_violation
+        real = search.first_violation
 
         def spy(nbrs, labels, attack_n):
             witness = real(nbrs, labels, attack_n)
@@ -291,7 +292,7 @@ class TestSearchCore:
             leaves[attack_n][1] += witness is not None
             return witness
 
-        monkeypatch.setattr(solver_module, "first_violation", spy)
+        monkeypatch.setattr(search, "first_violation", spy)
         opts = [dict(attack_n=a, **kw) for a in (1, 2, 3)
                 for kw in ({}, {"enumerate_all": True}, {"max_twos": 1}, {"max_twos": 2})]
         opts += [{"two_mode": m} for m in ("minimize_twos", "maximize_twos")]
@@ -335,7 +336,7 @@ class TestSealOrder:
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
         nbrs = g.neighbor_tuples()
-        adj, order = _masks(nbrs), _seal_scan(nbrs)
+        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)
         assert sorted(order) == list(range(g.order))
         placed = 0
         for v in order:
@@ -350,7 +351,7 @@ class TestSealOrder:
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
         nbrs = g.neighbor_tuples()
-        adj, order = _masks(nbrs), _seal_scan(nbrs)
+        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)
         assert order[0] == 0
         placed = 0
         for v in order:
@@ -404,7 +405,7 @@ class TestSealOrder:
     @pytest.mark.parametrize("g", SCAN_CORPUS, ids=SCAN_IDS)
     def test_started_scan_breaks_ties_by_distance(self, g):
         nbrs = g.neighbor_tuples()
-        adj = _masks(nbrs)
+        adj = neighbor_masks(nbrs)
         for start in range(min(g.order, 3)):
             dist = {start: 0}
             queue = [start]
@@ -639,6 +640,11 @@ class TestEccd:
         g = fam("path", 6)
         with pytest.raises(InvalidEccdError):
             check_eccd(g, EccdSet(((0, 1, 2, 3, 5),)))
+        # a tuple that is not 5 long, whether or not it repeats a vertex
+        with pytest.raises(InvalidEccdError, match="has 6 vertices, not 5"):
+            check_eccd(g, EccdSet(((0, 1, 2, 3, 4, 5),)))
+        with pytest.raises(InvalidEccdError, match="has 6 vertices, not 5"):
+            check_eccd(fam("cycle", 5), EccdSet(((0, 1, 2, 3, 4, 0),)))
 
     def test_matches_reference_engine(self):
         rng = random.Random(13)
@@ -666,7 +672,7 @@ class TestEccdPruning:
 
     @staticmethod
     def _assert_same_as_sweep(g):
-        adj = _masks(g.neighbor_tuples())
+        adj = neighbor_masks(g.neighbor_tuples())
         score, sol, _ = eccd_sweep_reference(adj)
         assert _max_eccd_engine(adj)[:2] == (score, sol)
         packing = _assemble_eccd(adj, score, sol)
@@ -709,7 +715,7 @@ class TestEccdPruning:
         for _ in range(60):
             n = rng.randint(5, 9)
             g = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
-            adj = _masks(g.neighbor_tuples())
+            adj = neighbor_masks(g.neighbor_tuples())
             cands = [v for v in range(n) if adj[v].bit_count() >= 2]
             top = _eccd_gain_table([adj[v].bit_count() - 1 for v in cands])
             for s in range(2, min(n // 2, len(cands)) + 1):
@@ -736,7 +742,7 @@ class TestEccdPruning:
             calls.append(args)
             return _min_cost_leaf_assignment(*args)
 
-        monkeypatch.setattr(solver_module, "_min_cost_leaf_assignment", counting)
+        monkeypatch.setattr(packing, "_min_cost_leaf_assignment", counting)
         result = gamma_via_eccd(g)
         return result, len(calls)
 
@@ -831,6 +837,8 @@ class TestEccdToLabeling:
         g = fam("path", 6)
         with pytest.raises(InvalidEccdError):
             eccd_to_labeling(g, EccdSet(((0, 1, 2, 3, 4), (1, 2, 3, 4, 5))))
+        with pytest.raises(InvalidEccdError):  # a closed walk, not a P5
+            eccd_to_labeling(fam("cycle", 5), EccdSet(((0, 1, 2, 3, 4, 0),)))
 
     def test_output_validates_on_random_graphs(self):
         rng = random.Random(5)
@@ -899,9 +907,11 @@ class TestIsOptimal:
             sweeps.append(len(adj))
             return _max_eccd_engine(adj)
 
-        monkeypatch.setattr(solver_module, "_max_eccd_engine", spying)
+        monkeypatch.setattr(packing, "_max_eccd_engine", spying)
         verdict, certificate = is_optimal(g)
         assert sweeps == []
+        gamma_via_eccd(fam("cycle", 7))  # the spy sees a sweep that does run
+        assert sweeps == [7]
         result = solve(g)
         assert verdict is True and result.optimal_number == number
         assert certificate.labeling == result.labeling
