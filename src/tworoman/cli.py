@@ -89,10 +89,8 @@ def _cmd_solve(args) -> int:
         extra = {
             "gamma": result.gamma,
             "optimal_number": result.optimal_number,
-            "stats": {"nodes": result.stats.nodes,
-                      "elapsed": result.stats.elapsed,
-                      "method": result.stats.method,
-                      "frontier_width": result.stats.frontier_width},
+            "stats": {name: getattr(result.stats, name)
+                      for name in result.stats.__match_args__},
         }
         if result.feasible_two_counts is not None:
             extra["feasible_two_counts"] = list(result.feasible_two_counts)

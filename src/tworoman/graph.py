@@ -136,13 +136,20 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]],
     return Graph(order, edges, external_ids)
 
 
-def open_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """All vertices outside the set adjacent to at least one member of it."""
+def _members(graph: Graph, vertices: Iterable[int]) -> set[int]:
+    """The vertices as a set; the first one in the order given that is not a
+    vertex of the graph raises OutOfRangeError."""
     members = set()
     for v in vertices:
         if not (0 <= v < graph.order):
             raise OutOfRangeError(v)
         members.add(v)
+    return members
+
+
+def open_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
+    """All vertices outside the set adjacent to at least one member of it."""
+    members = _members(graph, vertices)
     out = set()
     for v in members:
         out.update(graph._nbrs[v])
@@ -180,12 +187,7 @@ def max_degree(graph: Graph) -> int:
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     """Graph on ``keep`` with all edges among kept vertices; external ids kept."""
-    members = set()
-    for v in keep:
-        if not (0 <= v < graph.order):
-            raise OutOfRangeError(v)
-        members.add(v)
-    kept = sorted(members)
+    kept = sorted(_members(graph, keep))
     index = {v: i for i, v in enumerate(kept)}
     nbrs = tuple(tuple(index[u] for u in graph._nbrs[v] if u in index) for v in kept)
     return Graph._from_neighbors(nbrs, tuple(graph._ext[v] for v in kept))

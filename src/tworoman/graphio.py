@@ -23,9 +23,9 @@ from ._record import record
 from .errors import (DuplicateVertexError, MixedLabelsError, ParseError,
                      UnknownNeighborError)
 from .graph import Graph
-from .labeling import Labeling, _zeros_by_two_count
+from .labeling import LABELS, Labeling, _zeros_by_two_count
 
-_VALID_LABELS = (-1, 0, 1, 2)
+_VALID_LABELS = (-1, *LABELS)
 
 
 @record

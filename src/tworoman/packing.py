@@ -25,9 +25,12 @@ from .graph import Graph, iter_bits, mask_of, neighbor_masks
 class EccdSet:
     """Ordered P5 tuples satisfying the end-coupled center-disjoint rules.
 
-    Each tuple (a, b, c, d, e) is a path; c is its center.  Tuples may share
-    only whole end edges in matching (leaf, inner) orientation, and a center
-    may not appear in any other tuple.
+    Each tuple (a, b, c, d, e) is a path: a and e are its leaves, b and d its
+    inners and c its center.  Tuples may share only whole end edges in
+    matching (leaf, inner) orientation, and a center may not appear in any
+    other tuple.  Equivalently, every vertex plays one role in every tuple
+    that holds it: the leaf of one inner, the inner of one leaf, or the
+    center of one tuple.
     """
 
     paths: tuple[tuple[int, int, int, int, int], ...] = ()
@@ -40,7 +43,13 @@ class EccdSet:
 
 
 def check_eccd(graph: Graph, eccd: EccdSet) -> None:
-    """Raise InvalidEccdError unless the set satisfies the packing rules."""
+    """Raise InvalidEccdError unless the set satisfies the packing rules.
+
+    Each tuple must be a P5 of the graph, no tuple may repeat, and every
+    vertex must play the same role in every tuple that holds it: the leaf of
+    one inner, the inner of one leaf, or the center of one tuple.  That is
+    the pairwise rule of ``EccdSet`` read per vertex, so one pass checks it.
+    """
     for t in eccd.paths:
         if len(t) != 5:
             raise InvalidEccdError(f"tuple {t} has {len(t)} vertices, not 5")
@@ -52,20 +61,18 @@ def check_eccd(graph: Graph, eccd: EccdSet) -> None:
         for x, y in zip(t, t[1:]):
             if not graph.has_edge(x, y):
                 raise InvalidEccdError(f"tuple {t} is not a path: missing edge {x}-{y}")
-    for t in eccd.paths:
-        for u in eccd.paths:
-            if u is t:
-                continue
-            if t[2] in u:
-                raise InvalidEccdError(f"center {t[2]} of {t} reused by {u}")
-            uset = set(u)
-            for leaf, inner in ((t[0], t[1]), (t[4], t[3])):
-                if leaf in uset or inner in uset:
-                    if (u[0], u[1]) != (leaf, inner) and (u[4], u[3]) != (leaf, inner):
-                        raise InvalidEccdError(
-                            f"end edge {leaf}-{inner} of {t} overlaps {u} out of position")
     if len(set(eccd.paths)) != len(eccd.paths):
         raise InvalidEccdError("duplicate tuple in set")
+    held = {}
+    for t in eccd.paths:
+        a, b, c, d, e = t
+        for v, role in ((a, ("leaf", b)), (b, ("inner", a)), (c, ("center", t)),
+                        (d, ("inner", e)), (e, ("leaf", d))):
+            first, u = held.setdefault(v, (role, t))
+            if first != role:
+                was, now = (k if k == "center" else f"{k} of {p}" for k, p in (first, role))
+                raise InvalidEccdError(
+                    f"vertex {v} is the {was} in {u}, so it cannot be the {now} in {t}")
 
 
 def p5_candidates(graph: Graph) -> list[tuple[int, int, int, int, int]]:
@@ -253,8 +260,8 @@ def _max_packing(graph: Graph) -> tuple[EccdSet, int]:
     """The packing route's setup and sweep: the first maximum packing in the
     sweep's order, and the inner sets that reached its per-set test."""
     adj = neighbor_masks(graph.neighbor_tuples())
-    score, sol, nodes = _max_eccd_engine(adj)
-    return _assemble_eccd(adj, score, sol), nodes
+    _, sol, nodes = _max_eccd_engine(adj)
+    return _assemble_eccd(adj, sol), nodes
 
 
 def max_eccd(graph: Graph) -> EccdSet:
@@ -262,8 +269,8 @@ def max_eccd(graph: Graph) -> EccdSet:
     return _max_packing(graph)[0]
 
 
-def _assemble_eccd(adj: Sequence[int], score: int, sol) -> EccdSet:
-    if score == 0 or sol is None:
+def _assemble_eccd(adj: Sequence[int], sol) -> EccdSet:
+    if sol is None:
         return EccdSet(())
     imask, assign, pmask = sol
     leaf_mask = mask_of(assign.values())

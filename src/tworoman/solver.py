@@ -207,16 +207,14 @@ def enumerate_minimum_labelings(graph: Graph, attack_n: int = 2) -> list[Labelin
 def eccd_to_labeling(graph: Graph, eccd: EccdSet) -> Labeling:
     """0-2-0-2-0 on every packed path, 1 everywhere else.
 
-    Shared end edges receive consistent labels by the packing rules; the
-    result is re-checked to be valid at attack 2.
+    ``check_eccd`` gives every vertex one role, so each vertex is labeled by
+    its role: 0 on a leaf or a center, 2 on an inner.  The result is
+    re-checked to be valid at attack 2.
     """
     check_eccd(graph, eccd)
     labels = [1] * graph.order
-    pattern = (0, 2, 0, 2, 0)
     for t in eccd.paths:
-        for v, lab in zip(t, pattern):
-            if labels[v] != 1 and labels[v] != lab:
-                raise InvalidEccdError(f"conflicting labels forced on vertex {v}")
+        for v, lab in zip(t, (0, 2, 0, 2, 0)):
             labels[v] = lab
     result = Labeling(graph, tuple(labels))
     report = validate(result, 2)

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import BadSpecError, IncompatibleTorusError
-from .families import density, density_lower_bound
+from .families import FamilySpec, density, density_lower_bound, gamma_formula
 from .graph import Graph, ball, max_degree
-from .labeling import Labeling, validate
+from .labeling import LABELS, Labeling, validate
 from .limits import LATTICE_KINDS
 
 LATTICE_DEGREE = {"square": 4, "hexagonal": 3, "triangular": 6}
@@ -98,8 +98,8 @@ def generate_patch(spec: PatchSpec) -> Patch:
                     elif nx >= w or ny >= h:
                         continue
                     edges.append((y * w + x, ny * w + nx))
-    graph = Graph(w * h, [e for e in edges if e[0] != e[1]])
-    return Patch(spec, graph)
+    # ``PatchSpec`` keeps a torus wide and high enough that no wrap edge is a loop.
+    return Patch(spec, Graph(w * h, edges))
 
 
 @record
@@ -119,7 +119,7 @@ class TilingPattern:
     def __post_init__(self):
         if len(self.labels) != self.modulus:
             raise BadSpecError("labels must assign one value per residue class")
-        if any(lab not in (0, 1, 2) for lab in self.labels):
+        if any(lab not in LABELS for lab in self.labels):
             raise BadSpecError("pattern labels must be in {0, 1, 2}")
 
     def label_at(self, x: int, y: int) -> int:
@@ -267,7 +267,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
     """Exact ball densities around a canonical center vertex.
 
     For the path the ball of radius n is a path on 2n+1 vertices, whose
-    number is (2n+1) - floor((2n+1)/5) in closed form (cross-checked against
+    number is ``families.gamma_formula`` of that path (cross-checked against
     the solver in the test suite).  Lattice balls go through
     ``families.density``, which has no order limit.
     """
@@ -277,7 +277,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
             raise BadSpecError("radius must be >= 0")
         if kind == "path":
             n = 2 * radius + 1
-            out.append((radius, Fraction(n - n // 5, n)))
+            out.append((radius, Fraction(gamma_formula(FamilySpec("path", (n,))), n)))
             continue
         out.append((radius, density(ball_graph(kind, radius))))
     return out

@@ -10,7 +10,6 @@ from tworoman import (EccdSet, Graph, Labeling, build_graph, p5_candidates,
                       validate_by_enumeration)
 from tworoman.graph import iter_bits, mask_of
 from tworoman.packing import _min_cost_leaf_assignment
-from tworoman.search import _Discharge, _search
 
 
 def naive_gamma(graph: Graph, attack_n: int = 2, max_twos: int | None = None) -> int:
@@ -153,26 +152,6 @@ def eccd_set_score(adj: list[int], inners) -> int | None:
     p_count = pmask.bit_count()
     found = _min_cost_leaf_assignment(adj, tuple(inners), imask, pmask, p_count + 1)
     return None if found is None else p_count - found[0]
-
-
-def bb_gamma_degree_order(graph: Graph, attack_n: int, max_twos: int | None) -> int:
-    """Gamma from the optimum pass of ``solver.gamma_bruteforce`` run over
-    vertices in descending-degree order (ties by id), the order it used
-    before the seal scan.  The vertex order may change the node count but
-    never gamma.
-    """
-    n = graph.order
-    nbrs = graph.neighbor_tuples()
-    cap = n if max_twos is None else max_twos
-    order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
-    gamma = [n]
-
-    def lower(labels, wgt, twos):
-        gamma[0] = wgt
-        return wgt - 1, 0, cap
-
-    _search(_Discharge(nbrs, attack_n), order, (0, 2, 1), n - 1, 0, cap, lower)
-    return gamma[0]
 
 
 def _connected(n: int, adj: list[int]) -> bool:

@@ -72,6 +72,16 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["stats"]["frontier_width"] == 1
 
+    @pytest.mark.parametrize("method", ["bruteforce", "eccd"])
+    def test_json_stats_keys(self, capsys, fixtures_dir, method):
+        # ``stats`` is built from the fields of ``SolveStats``: a renamed
+        # field shows up here.
+        code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "p4.txt"),
+                           "--method", method, "--json")
+        stats = json.loads(out)["stats"]
+        assert code == 0 and stats["method"] == method
+        assert sorted(stats) == ["elapsed", "frontier_width", "method", "nodes"]
+
     def test_max_twos(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "fig2_k6.txt"),
                            "--max-twos", "1", "--json")

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import (allepn_labelings, bb_gamma_degree_order, eccd_set_score,
+from helpers import (_tuples_compatible, allepn_labelings, eccd_set_score,
                      eccd_showcase_graph, eccd_sweep_reference, graphs,
                      max_eccd_reference, naive_gamma, naive_minimum_labelings,
                      naive_valid_labelings, random_graphs, frontier_reference,
@@ -16,7 +16,7 @@ from tworoman import (BadLimitError, EccdSet, FamilySpec, InvalidEccdError, Labe
                       assign_private_neighbors, build_graph, check_eccd,
                       eccd_to_labeling, enumerate_minimum_labelings,
                       find_02020_path, gamma_bruteforce, gamma_via_eccd,
-                      generate, is_optimal, max_eccd,
+                      generate, is_optimal, max_eccd, p5_candidates,
                       solve, solve_finite_resources, strip_ones,
                       two_extremal_minimum, validate)
 from tworoman import limits, packing, search, solver as solver_module, tilings
@@ -361,15 +361,25 @@ class TestSealOrder:
             assert len(frontier) <= 6
 
     @pytest.mark.parametrize("attack", [1, 2, 3])
-    def test_gamma_matches_degree_order(self, attack):
+    def test_gamma_matches_degree_order(self, monkeypatch, attack):
+        # The vertex order may change the node count but never gamma or the
+        # witness: solves over descending degree (ties by id), the order
+        # before the seal scan, give the answers of the plain solves.
         rng = random.Random(500 + attack)
+        cases = []
         for _ in range(40):
             n = rng.randint(0, 13)
             g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
             for cap in (None, 0, 1, 2):
-                want = bb_gamma_degree_order(g, attack, cap)
-                got = gamma_bruteforce(g, SolveOptions(attack_n=attack, max_twos=cap)).gamma
-                assert got == want, (n, list(g.edges()), attack, cap)
+                opts = SolveOptions(attack_n=attack, max_twos=cap)
+                cases.append((g, opts, gamma_bruteforce(g, opts)))
+        monkeypatch.setattr(solver_module, "_search_order", lambda nbrs: (
+            sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v)), 0, 0))
+        for g, opts, plain in cases:
+            got = gamma_bruteforce(g, opts)  # the patched order reports width 0
+            assert ((got.gamma, got.labeling, got.stats.frontier_width)
+                    == (plain.gamma, plain.labeling, 0)), (
+                g.order, list(g.edges()), attack, opts.max_twos)
 
     def test_extremal_twos_match_enumeration(self):
         rng = random.Random(77)
@@ -619,7 +629,8 @@ class TestEccd:
     def test_check_rejects_center_reuse(self):
         g = eccd_showcase_graph()
         i = g.internal_id
-        with pytest.raises(InvalidEccdError):
+        with pytest.raises(InvalidEccdError, match=r"is the center in \(.*\), so it cannot"
+                                                   r" be the center in \("):
             check_eccd(g, EccdSet(((i(1), i(2), i(8), i(4), i(5)),
                                    (i(6), i(7), i(8), i(9), i(10)))))
 
@@ -632,7 +643,8 @@ class TestEccd:
     def test_check_rejects_reversed_coupling(self):
         g = eccd_showcase_graph()
         i = g.internal_id
-        with pytest.raises(InvalidEccdError):
+        with pytest.raises(InvalidEccdError, match=f"vertex {i(5)} is the leaf of {i(4)} in"
+                                                   rf" \(.*\), so it cannot be the inner of {i(4)}"):
             check_eccd(g, EccdSet(((i(1), i(2), i(3), i(4), i(5)),
                                    (i(10), i(9), i(8), i(5), i(4)))))
 
@@ -645,6 +657,36 @@ class TestEccd:
             check_eccd(g, EccdSet(((0, 1, 2, 3, 4, 5),)))
         with pytest.raises(InvalidEccdError, match="has 6 vertices, not 5"):
             check_eccd(fam("cycle", 5), EccdSet(((0, 1, 2, 3, 4, 0),)))
+
+    def test_check_rejects_duplicate(self):
+        # equal tuples that are distinct objects, as well as one object twice
+        g = fam("path", 5)
+        for paths in (((0, 1, 2, 3, 4), tuple(range(5))), ((0, 1, 2, 3, 4),) * 2):
+            with pytest.raises(InvalidEccdError, match="duplicate tuple in set"):
+                check_eccd(g, EccdSet(paths))
+
+    def test_check_matches_pairwise_rule(self):
+        # A set is accepted exactly when no tuple repeats and every pair of
+        # tuples passes the pairwise reference rule.
+        rng = random.Random(27)
+        verdicts = []
+        while len(verdicts) < 2000:
+            n = rng.randint(5, 10)
+            g = _random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
+            cands = p5_candidates(g)
+            cands += [t[::-1] for t in cands]
+            for _ in range(10 if cands else 0):
+                paths = tuple(rng.choice(cands) for _ in range(rng.randint(1, 4)))
+                want = len(set(paths)) == len(paths) and all(
+                    _tuples_compatible(t, u) for t, u in combinations(paths, 2))
+                try:
+                    check_eccd(g, EccdSet(paths))
+                    got = True
+                except InvalidEccdError:
+                    got = False
+                assert got == want, (n, list(g.edges()), paths)
+                verdicts.append(got)
+        assert 100 < sum(verdicts) < 1900
 
     def test_matches_reference_engine(self):
         rng = random.Random(13)
@@ -675,7 +717,7 @@ class TestEccdPruning:
         adj = neighbor_masks(g.neighbor_tuples())
         score, sol, _ = eccd_sweep_reference(adj)
         assert _max_eccd_engine(adj)[:2] == (score, sol)
-        packing = _assemble_eccd(adj, score, sol)
+        packing = _assemble_eccd(adj, sol)
         assert max_eccd(g) == packing
         labels = eccd_to_labeling(g, packing).labels
         assert gamma_via_eccd(g).labeling.labels == labels
@@ -827,6 +869,16 @@ class TestEccdToLabeling:
         assert lab.labels == (1, 0, 2, 0, 2, 0, 1)
         assert lab.weight == 6
         assert gamma_bruteforce(g).gamma == 6
+
+    def test_many_disjoint_blocks(self):
+        # 0-2-0-2-0 blocks side by side along a path: weight 4 per block.
+        blocks = 300
+        g = fam("path", 5 * blocks)
+        eccd = EccdSet(tuple(tuple(range(5 * k, 5 * k + 5)) for k in range(blocks)))
+        check_eccd(g, eccd)
+        lab = eccd_to_labeling(g, eccd)
+        assert lab.labels == (0, 2, 0, 2, 0) * blocks
+        assert lab.weight == 4 * blocks
 
     def test_empty_set_gives_all_one(self):
         g = fam("complete", 4)
