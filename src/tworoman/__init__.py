@@ -17,9 +17,9 @@ _HOMES = {
     "graph": ("Graph", "ball", "build_graph", "induced_subgraph", "max_degree",
               "open_neighborhood"),
     "graphio": ("ParseResult", "parse_graph_file", "structured_document", "to_dot",
-                "write_graph_file", "write_labeling"),
+                "write_graph_file"),
     "labeling": ("Labeling", "ValidationReport", "epn_set", "partition", "public_set",
-                 "validate", "validate_by_enumeration", "weight"),
+                 "validate", "validate_by_enumeration"),
     "solver": ("EccdSet", "OptimalityCertificate", "SolveOptions", "SolveResult",
                "SolveStats", "assign_private_neighbors", "check_eccd", "eccd_to_labeling",
                "enumerate_minimum_labelings", "find_02020_path", "gamma_bruteforce",

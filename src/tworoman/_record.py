@@ -26,11 +26,7 @@ def record(cls):
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
     init = namespace["__init__"]
 
-    if len(names) > 1:
-        values = attrgetter(*names)
-    else:  # attrgetter of one name gives the bare value, not a 1-tuple
-        def values(self):
-            return tuple(getattr(self, name) for name in names)
+    values = attrgetter(*names)
 
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

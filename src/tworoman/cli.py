@@ -23,11 +23,6 @@ from .labeling import validate
 _TWO_MODE = {"any": "any", "min": "minimize_twos", "max": "maximize_twos"}
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -37,7 +32,8 @@ def _emit(text: str, path: str | None):
 
 
 def _load(path: str) -> graphio.ParseResult:
-    parsed = graphio.parse_graph_file(_read(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        parsed = graphio.parse_graph_file(fh.read())
     for warning in parsed.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return parsed
@@ -82,7 +78,7 @@ def _cmd_solve(args) -> int:
         enumerate_all=args.all,
     )
     result = solver.solve(parsed.graph, opts)
-    by_id = sorted(range(parsed.graph.order), key=parsed.graph.external_id)
+    by_id = sorted(range(parsed.graph.order), key=parsed.graph.external_ids.__getitem__)
     vectors = None if result.all_minimum is None else [
         [lab.labels[v] for v in by_id] for lab in result.all_minimum]
     if args.json:

@@ -6,7 +6,7 @@ class TwoRomanError(Exception):
 
 
 class OutOfRangeError(TwoRomanError):
-    """A vertex id falls outside 0..order-1."""
+    """A vertex id is not an int in 0..order-1."""
 
     def __init__(self, vertex):
         super().__init__(f"vertex id out of range: {vertex}")

@@ -83,17 +83,25 @@ class Graph:
     def vertices(self) -> range:
         return range(self.order)
 
+    def _vertex(self, v: int) -> int:
+        """``v`` itself when it is a vertex id, an int in 0..order-1; anything
+        else raises OutOfRangeError.  The one range rule of the accessors."""
+        if not (isinstance(v, int) and 0 <= v < self.order):
+            raise OutOfRangeError(v)
+        return v
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        return self._nbrs[self._vertex(v)]
 
     def neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
         """The sorted neighbor tuple of every vertex, indexed by vertex id."""
         return self._nbrs
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return len(self._nbrs[self._vertex(v)])
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = self._vertex(u), self._vertex(v)
         return v in self._nbrs[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -112,7 +120,7 @@ class Graph:
         return self._ext
 
     def external_id(self, v: int) -> int:
-        return self._ext[v]
+        return self._ext[self._vertex(v)]
 
     def internal_id(self, ext: int) -> int:
         return self._int_of[ext]
@@ -139,12 +147,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]],
 def _members(graph: Graph, vertices: Iterable[int]) -> set[int]:
     """The vertices as a set; the first one in the order given that is not a
     vertex of the graph raises OutOfRangeError."""
-    members = set()
-    for v in vertices:
-        if not (0 <= v < graph.order):
-            raise OutOfRangeError(v)
-        members.add(v)
-    return members
+    return set(map(graph._vertex, vertices))
 
 
 def open_neighborhood(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
@@ -162,11 +165,9 @@ def ball(graph: Graph, center: int, radius: int) -> Graph:
     Unreachable vertices are at infinite distance and never included, so on a
     disconnected graph the ball stabilizes at the component of ``center``.
     """
-    if not (0 <= center < graph.order):
-        raise OutOfRangeError(center)
+    seen = _members(graph, (center,))
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen = {center}
     frontier = {center}
     for _ in range(radius):
         grown = set()

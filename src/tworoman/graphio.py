@@ -16,7 +16,6 @@ once.  A bad record or mention is read again only to name the first fault.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 
 from ._record import record
@@ -146,9 +145,10 @@ def write_graph_file(graph: Graph, labeling: Labeling | None = None) -> str:
     key = _id_order(ext)
     names = list(map(str, ext))
     labels = labeling.labels if labeling is not None else (-1,) * graph.order
+    neighbors = graph.neighbor_tuples()
     lines = []
     for v in sorted(range(graph.order), key=key):
-        nbrs = graph.neighbors(v) if key is None else sorted(graph.neighbors(v), key=key)
+        nbrs = neighbors[v] if key is None else sorted(neighbors[v], key=key)
         lines.append(f"{names[v]};{labels[v]};{','.join([names[u] for u in nbrs])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -169,7 +169,7 @@ def structured_document(graph: Graph, labeling: Labeling | None,
         _, epn, public = _zeros_by_two_count(labeling)
         doc.update({
             "weight": labeling.weight,
-            "labels": {str(graph.external_id(v)): labels[v] for v in range(graph.order)},
+            "labels": {str(ext): lab for ext, lab in zip(graph.external_ids, labels)},
             "partition_sizes": {"v0": labels.count(0), "v1": labels.count(1),
                                 "v2": labels.count(2)},
             "epn_count": len(epn),
@@ -196,17 +196,3 @@ def to_dot(graph: Graph, labeling: Labeling | None = None) -> str:
         lines.append(f'  "{a}" -- "{b}";' if a < b else f'  "{b}" -- "{a}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_labeling(graph: Graph, labeling: Labeling | None, fmt: str = "text") -> str:
-    """Render a labeling as canonical text, a JSON document, or DOT."""
-    if labeling is not None and labeling.graph != graph:
-        raise ValueError("labeling does not belong to this graph")
-    if fmt == "text":
-        return write_graph_file(graph, labeling)
-    if fmt == "structured":
-        return json.dumps(structured_document(graph, labeling),
-                          indent=2, sort_keys=True) + "\n"
-    if fmt == "dot":
-        return to_dot(graph, labeling)
-    raise ValueError(f"unknown format: {fmt!r}")

@@ -54,10 +54,6 @@ class ValidationReport:
     witness: tuple[int, ...] | None = None
 
 
-def weight(labeling: Labeling) -> int:
-    return labeling.weight
-
-
 def partition(labeling: Labeling) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """Split the vertex set into (V0, V1, V2) by label."""
     parts = ([], [], [])

@@ -56,7 +56,7 @@ def check_eccd(graph: Graph, eccd: EccdSet) -> None:
         if len(set(t)) != 5:
             raise InvalidEccdError(f"tuple {t} repeats a vertex")
         for v in t:
-            if not (0 <= v < graph.order):
+            if not (isinstance(v, int) and 0 <= v < graph.order):
                 raise InvalidEccdError(f"tuple {t} leaves the graph")
         for x, y in zip(t, t[1:]):
             if not graph.has_edge(x, y):
@@ -137,8 +137,6 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
     """
     n = len(adj)
     nodes = 0
-    if n < 5:
-        return 0, None, nodes
     cands = [v for v in range(n) if adj[v].bit_count() >= 2]
     m = len(cands)
     gain = [adj[v].bit_count() - 1 for v in cands]

@@ -104,7 +104,7 @@ def generate_patch(spec: PatchSpec) -> Patch:
 
 @record
 class TilingPattern:
-    """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y + t) mod m].
+    """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y) mod m].
 
     A w x h torus is compatible when w*ax and h*ay are multiples of m.
     """
@@ -113,7 +113,6 @@ class TilingPattern:
     modulus: int
     x_coeff: int
     y_coeff: int
-    offset: int
     labels: tuple[int, ...]
 
     def __post_init__(self):
@@ -123,7 +122,7 @@ class TilingPattern:
             raise BadSpecError("pattern labels must be in {0, 1, 2}")
 
     def label_at(self, x: int, y: int) -> int:
-        return self.labels[(self.x_coeff * x + self.y_coeff * y + self.offset) % self.modulus]
+        return self.labels[(self.x_coeff * x + self.y_coeff * y) % self.modulus]
 
     @property
     def declared_density(self) -> Fraction:
@@ -151,11 +150,11 @@ def pattern_labeling(pattern: TilingPattern, patch: Patch) -> Labeling:
     return Labeling(patch.graph, tuple(labels))
 
 
-# (modulus, x_coeff, y_coeff, offset, labels); two 2s among the deg+3 residues
+# (modulus, x_coeff, y_coeff, labels); two 2s among the deg+3 residues
 _PATTERNS = {
-    "square": (7, 1, 2, 0, (2, 0, 0, 2, 0, 0, 0)),
-    "hexagonal": (6, 2, 2, 0, (0, 0, 0, 2, 2, 0)),
-    "triangular": (9, 1, 1, 0, (0, 0, 0, 0, 2, 0, 0, 0, 2)),
+    "square": (7, 1, 2, (2, 0, 0, 2, 0, 0, 0)),
+    "hexagonal": (6, 2, 2, (0, 0, 0, 2, 2, 0)),
+    "triangular": (9, 1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2)),
 }
 
 
@@ -229,7 +228,7 @@ def _realized_residues(pattern: TilingPattern) -> dict[int, tuple[int, int]]:
     m = pattern.modulus
     for dy in range(m):
         for dx in range(m):
-            r = (pattern.x_coeff * dx + pattern.y_coeff * dy + pattern.offset) % m
+            r = (pattern.x_coeff * dx + pattern.y_coeff * dy) % m
             seen.setdefault(r, (dx, dy))
     return seen
 

@@ -80,10 +80,10 @@ def test_criterion_3_optimality_theorem(corpus_results):
     with criterion(3, "optimal iff gamma < order iff every minimum labeling "
                       "holds a 0-2-0-2-0 path") as info:
         checked = 0
-        for graph, gamma, eccd_size in corpus_results["small"]:
+        for (graph, gamma, eccd_size), minima in zip(corpus_results["small"],
+                                                     corpus_results["minima"]):
             optimal = eccd_size >= 1
             assert optimal == (gamma < graph.order)
-            minima = enumerate_minimum_labelings(graph)
             assert minima, "every graph has a minimum labeling"
             all_contain = all(find_02020_path(m) is not None for m in minima)
             assert optimal == all_contain, (graph, gamma)

@@ -87,6 +87,33 @@ class TestBall:
             ball(build_graph(2, []), 2, 1)
 
 
+C6 = generate(FamilySpec("cycle", (6,)))
+
+
+class TestVertexIds:
+    """Every accessor takes only an int in 0..order-1 as a vertex id: a
+    negative id does not wrap to the end, and a float is no id."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: C6.has_edge(-1, 0),
+        lambda: C6.has_edge(0, -1),
+        lambda: C6.neighbors(-1),
+        lambda: C6.degree(-1),
+        lambda: C6.external_id(-1),
+        lambda: C6.neighbors(6),
+        lambda: C6.degree(6.0),
+        lambda: ball(C6, 0.0, 1),
+        lambda: ball(C6, 6, -1),  # the center is checked before the radius
+        lambda: open_neighborhood(C6, [0.0]),
+        lambda: induced_subgraph(C6, [0.0, 1]),
+    ], ids=["has_edge_neg_u", "has_edge_neg_v", "neighbors_neg", "degree_neg",
+            "external_id_neg", "neighbors_past_end", "degree_float", "ball_float_center",
+            "ball_center_before_radius", "open_neighborhood_float", "induced_subgraph_float"])
+    def test_rejected(self, call):
+        with pytest.raises(OutOfRangeError):
+            call()
+
+
 class TestMaxDegree:
     def test_star(self):
         assert max_degree(generate(FamilySpec("star", (4,)))) == 4

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from tworoman import (DuplicateVertexError, FamilySpec, Labeling, MixedLabelsError,
                       ParseError, PatchSpec, UnknownNeighborError, build_graph,
                       find_pattern, generate, generate_patch, parse_graph_file,
-                      pattern_labeling, to_dot, write_graph_file, write_labeling)
+                      pattern_labeling, structured_document, to_dot, write_graph_file)
 
 
 class TestParse:
@@ -203,7 +202,7 @@ class TestWrite:
     def test_structured_reports_partition(self):
         g = generate(FamilySpec("complete", (6,)))
         lab = Labeling(g, (2, 0, 2, 0, 0, 0))
-        doc = json.loads(write_labeling(g, lab, "structured"))
+        doc = structured_document(g, lab)
         assert doc["weight"] == 4
         assert doc["partition_sizes"] == {"v0": 4, "v1": 0, "v2": 2}
         assert doc["order"] == 6
@@ -215,17 +214,6 @@ class TestWrite:
         assert dot.startswith("graph G {")
         assert '"0" -- "1";' in dot
         assert '"0" [label="0:2"' in dot
-
-    def test_unknown_format(self):
-        g = build_graph(1, [])
-        with pytest.raises(ValueError):
-            write_labeling(g, Labeling(g, (1,)), "yaml")
-
-    def test_labeling_graph_mismatch(self):
-        g = build_graph(2, [(0, 1)])
-        other = build_graph(2, [])
-        with pytest.raises(ValueError):
-            write_labeling(g, Labeling(other, (1, 1)), "text")
 
 
 @st.composite

@@ -9,7 +9,7 @@ from helpers import allepn_labelings, fig1_star_labeled, random_graphs
 from tworoman import (FamilySpec, Labeling, PatchSpec, build_graph, epn_set, find_pattern,
                       generate, generate_patch, parse_graph_file, partition,
                       pattern_labeling, public_set, structured_document, validate,
-                      validate_by_enumeration, verify_pattern, weight, write_graph_file)
+                      validate_by_enumeration, verify_pattern, write_graph_file)
 from tworoman import labeling as labeling_module
 from tworoman.labeling import first_violation
 
@@ -47,15 +47,15 @@ class TestLabelingType:
 
 class TestWeight:
     def test_k6(self):
-        assert weight(k6_fig_labeling()) == 4
+        assert k6_fig_labeling().weight == 4
 
     def test_all_one(self):
         g = generate(FamilySpec("cycle", (7,)))
-        assert weight(Labeling(g, (1,) * 7)) == 7
+        assert Labeling(g, (1,) * 7).weight == 7
 
     def test_all_zero(self):
         g = generate(FamilySpec("cycle", (7,)))
-        assert weight(Labeling(g, (0,) * 7)) == 0
+        assert Labeling(g, (0,) * 7).weight == 0
 
 
 class TestPartition:

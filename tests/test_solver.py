@@ -658,6 +658,14 @@ class TestEccd:
         with pytest.raises(InvalidEccdError, match="has 6 vertices, not 5"):
             check_eccd(fam("cycle", 5), EccdSet(((0, 1, 2, 3, 4, 0),)))
 
+    def test_check_rejects_non_int_vertex(self):
+        g = fam("cycle", 6)
+        eccd = EccdSet(((0.0, 1, 2, 3, 4),))
+        with pytest.raises(InvalidEccdError, match="leaves the graph"):
+            check_eccd(g, eccd)
+        with pytest.raises(InvalidEccdError, match="leaves the graph"):
+            eccd_to_labeling(g, eccd)
+
     def test_check_rejects_duplicate(self):
         # equal tuples that are distinct objects, as well as one object twice
         g = fam("path", 5)

@@ -74,7 +74,7 @@ class TestPatterns:
 
     def test_declared_density_counts_realized_residues_only(self):
         # coefficients 2, 2 mod 6 never reach residues 1, 3 and 5
-        pattern = TilingPattern("hexagonal", 6, 2, 2, 0, (0, 0, 1, 2, 2, 0))
+        pattern = TilingPattern("hexagonal", 6, 2, 2, (0, 0, 1, 2, 2, 0))
         assert pattern.declared_density == 1
         assert verify_pattern(pattern, [(6, 6)])[0].density == 1
         rows = [line.split() for line in pattern_table(pattern).splitlines()]
@@ -85,16 +85,16 @@ class TestPatterns:
         assert find_pattern("triangular").labels == (0, 0, 0, 0, 2, 0, 0, 0, 2)
 
     @pytest.mark.parametrize("kind,fields", [
-        ("square", (7, 1, 2, 0, (2, 0, 0, 2, 0, 0, 0))),
-        ("hexagonal", (6, 2, 2, 0, (0, 0, 0, 2, 2, 0))),
-        ("triangular", (9, 1, 1, 0, (0, 0, 0, 0, 2, 0, 0, 0, 2))),
+        ("square", (7, 1, 2, (2, 0, 0, 2, 0, 0, 0))),
+        ("hexagonal", (6, 2, 2, (0, 0, 0, 2, 2, 0))),
+        ("triangular", (9, 1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2))),
     ])
     def test_builtin_patterns_pinned(self, kind, fields):
         assert find_pattern(kind) == TilingPattern(kind, *fields)
 
     @pytest.mark.parametrize("kind,fields", [
-        ("square", (7, 1, 2, 0, (2, 2, 0, 0, 0, 0, 0))),  # right density, invalid
-        ("hexagonal", (6, 2, 2, 0, (0, 0, 1, 2, 2, 0))),  # valid, too dense
+        ("square", (7, 1, 2, (2, 2, 0, 0, 0, 0, 0))),  # right density, invalid
+        ("hexagonal", (6, 2, 2, (0, 0, 1, 2, 2, 0))),  # valid, too dense
     ])
     def test_broken_builtin_pattern_rejected(self, monkeypatch, kind, fields):
         monkeypatch.setitem(tilings._PATTERNS, kind, fields)
@@ -118,7 +118,7 @@ class TestPatterns:
             assert report.density == TARGETS[kind]
 
     def test_all_one_pattern_valid_everywhere(self):
-        ones = TilingPattern("square", 1, 1, 1, 0, (1,))
+        ones = TilingPattern("square", 1, 1, 1, (1,))
         report = verify_pattern(ones, [(5, 5)])[0]
         assert report.valid and report.density == 1
 
@@ -149,8 +149,7 @@ class TestPatterns:
         for kind in TARGETS:
             pattern = find_pattern(kind)
             m = pattern.modulus
-            realized = {(pattern.x_coeff * dx + pattern.y_coeff * dy
-                         + pattern.offset) % m
+            realized = {(pattern.x_coeff * dx + pattern.y_coeff * dy) % m
                         for dx in range(m) for dy in range(m)}
             lines = pattern_table(pattern).strip().splitlines()
             assert len(lines) == len(realized)
