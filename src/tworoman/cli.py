@@ -92,7 +92,8 @@ def _cmd_solve(args) -> int:
             extra["feasible_two_counts"] = list(result.feasible_two_counts)
         if vectors is not None:
             extra["all_minimum"] = vectors
-        doc = graphio.structured_document(parsed.graph, result.labeling, extra)
+        doc = graphio.structured_document(parsed.graph, result.labeling)
+        doc.update(extra)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"gamma: {result.gamma}")
@@ -271,7 +272,3 @@ def cli_main(argv=None) -> int:
 
 def main():
     raise SystemExit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,8 @@ class TwoRomanError(Exception):
 
 
 class OutOfRangeError(TwoRomanError):
-    """A vertex id is not an int in 0..order-1."""
+    """A vertex id is not an int in 0..order-1, or not an external id of the
+    graph."""
 
     def __init__(self, vertex):
         super().__init__(f"vertex id out of range: {vertex}")

@@ -43,7 +43,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Finite simple undirected graph, immutable after construction."""
 
-    __slots__ = ("order", "_nbrs", "_ext", "_int_of")
+    __slots__ = ("order", "_nbrs", "_ext")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]],
                  external_ids: Iterable[int] | None = None):
@@ -51,14 +51,17 @@ class Graph:
             raise OutOfRangeError(order)
         adj = [set() for _ in range(order)]
         for u, v in edges:
-            if not (0 <= u < order):
-                raise OutOfRangeError(u)
-            if not (0 <= v < order):
-                raise OutOfRangeError(v)
-            if u == v:
-                raise SelfLoopError(u)
-            adj[u].add(v)
-            adj[v].add(u)
+            try:
+                if not (0 <= u < order):
+                    raise OutOfRangeError(u)
+                if not (0 <= v < order):
+                    raise OutOfRangeError(v)
+                if u == v:
+                    raise SelfLoopError(u)
+                adj[u].add(v)
+                adj[v].add(u)
+            except TypeError:  # an endpoint that is no int fails a comparison or an index
+                raise OutOfRangeError(v if isinstance(u, int) else u) from None
         ext = tuple(external_ids) if external_ids is not None else tuple(range(order))
         if len(ext) != order or len(set(ext)) != order:
             raise ValueError("external_ids must be a bijection onto internal ids")
@@ -68,7 +71,6 @@ class Graph:
         self.order = len(nbrs)
         self._nbrs = nbrs
         self._ext = ext if ext is not None else tuple(range(len(nbrs)))
-        self._int_of = {e: i for i, e in enumerate(self._ext)}
 
     @classmethod
     def _from_neighbors(cls, nbrs: tuple[tuple[int, ...], ...],
@@ -123,7 +125,12 @@ class Graph:
         return self._ext[self._vertex(v)]
 
     def internal_id(self, ext: int) -> int:
-        return self._int_of[ext]
+        """The internal id of external id ``ext``, found by a scan of the
+        external ids; OutOfRangeError when the graph has no such vertex."""
+        try:
+            return self._ext.index(ext)
+        except ValueError:
+            raise OutOfRangeError(ext) from None
 
     # -- dunder ----------------------------------------------------------------
 

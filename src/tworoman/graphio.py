@@ -124,10 +124,9 @@ def parse_graph_file(text: str) -> ParseResult:
 
     graph = Graph._from_neighbors(tuple(tuple(sorted(row)) for row in listed), ids)
     labeling = None
-    if labels and all(lab == -1 for lab in labels):
-        labeling = None
-    elif any(lab == -1 for lab in labels):
-        raise MixedLabelsError("file mixes -1 with concrete labels")
+    if -1 in labels:
+        if any(lab != -1 for lab in labels):
+            raise MixedLabelsError("file mixes -1 with concrete labels")
     elif labels:
         labeling = Labeling(graph, tuple(labels))
     return ParseResult(graph, labeling, tuple(warnings))
@@ -153,8 +152,7 @@ def write_graph_file(graph: Graph, labeling: Labeling | None = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def structured_document(graph: Graph, labeling: Labeling | None,
-                        extra: dict | None = None) -> dict:
+def structured_document(graph: Graph, labeling: Labeling | None) -> dict:
     """Machine-readable summary of a (possibly labeled) graph.
 
     The 0s are classified by their 2-neighbors once, for both the
@@ -175,8 +173,6 @@ def structured_document(graph: Graph, labeling: Labeling | None,
             "epn_count": len(epn),
             "public_count": len(public),
         })
-    if extra:
-        doc.update(extra)
     return doc
 
 

@@ -38,9 +38,6 @@ class EccdSet:
     def __len__(self):
         return len(self.paths)
 
-    def __iter__(self):
-        return iter(self.paths)
-
 
 def check_eccd(graph: Graph, eccd: EccdSet) -> None:
     """Raise InvalidEccdError unless the set satisfies the packing rules.

@@ -14,7 +14,8 @@ Lattice realizations (vertex (x, y), id = y*width + x):
                  the torus.
 
 ``find_pattern`` returns one built-in periodic labeling per lattice at the
-4/(degree+3) lower bound (4/7, 2/3, 4/9), checked on its minimal torus.
+4/(degree+3) lower bound (4/7, 2/3, 4/9), checked on its minimal torus.  A
+pattern's period is the number of its labels.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ class Patch:
         return v % self.spec.width, v // self.spec.width
 
 
+# The brick wall takes the square steps, but its vertical step only where
+# x + y is even.
 _NEIGHBOR_STEPS = {
     "square": ((1, 0), (0, 1)),
+    "hexagonal": ((1, 0), (0, 1)),
     "triangular": ((1, 0), (0, 1), (1, 1)),
 }
 
@@ -80,49 +84,42 @@ _NEIGHBOR_STEPS = {
 def generate_patch(spec: PatchSpec) -> Patch:
     w, h = spec.width, spec.height
     torus = spec.wrap == "torus"
+    brick = spec.kind == "hexagonal"
     edges = []
-    if spec.kind == "hexagonal":
-        for y in range(h):
-            for x in range(w):
-                if torus or x + 1 < w:
-                    edges.append((y * w + x, y * w + (x + 1) % w))
-                if (x + y) % 2 == 0 and (torus or y + 1 < h):
-                    edges.append((y * w + x, ((y + 1) % h) * w + x))
-    else:
-        for y in range(h):
-            for x in range(w):
-                for dx, dy in _NEIGHBOR_STEPS[spec.kind]:
-                    nx, ny = x + dx, y + dy
-                    if torus:
-                        nx, ny = nx % w, ny % h
-                    elif nx >= w or ny >= h:
-                        continue
-                    edges.append((y * w + x, ny * w + nx))
+    for y in range(h):
+        for x in range(w):
+            for dx, dy in _NEIGHBOR_STEPS[spec.kind]:
+                if brick and dy and (x + y) % 2:
+                    continue
+                nx, ny = x + dx, y + dy
+                if torus:
+                    nx, ny = nx % w, ny % h
+                elif nx >= w or ny >= h:
+                    continue
+                edges.append((y * w + x, ny * w + nx))
     # ``PatchSpec`` keeps a torus wide and high enough that no wrap edge is a loop.
     return Patch(spec, Graph(w * h, edges))
 
 
 @record
 class TilingPattern:
-    """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y) mod m].
+    """Periodic labeling: label_at(x, y) = labels[(ax*x + ay*y) mod m], where
+    the period m is the number of labels.
 
     A w x h torus is compatible when w*ax and h*ay are multiples of m.
     """
 
     kind: str
-    modulus: int
     x_coeff: int
     y_coeff: int
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.labels) != self.modulus:
-            raise BadSpecError("labels must assign one value per residue class")
         if any(lab not in LABELS for lab in self.labels):
             raise BadSpecError("pattern labels must be in {0, 1, 2}")
 
     def label_at(self, x: int, y: int) -> int:
-        return self.labels[(self.x_coeff * x + self.y_coeff * y) % self.modulus]
+        return self.labels[(self.x_coeff * x + self.y_coeff * y) % len(self.labels)]
 
     @property
     def declared_density(self) -> Fraction:
@@ -139,7 +136,7 @@ def pattern_labeling(pattern: TilingPattern, patch: Patch) -> Labeling:
         raise IncompatibleTorusError("patterns apply to torus patches only")
     if spec.kind != pattern.kind:
         raise BadSpecError(f"pattern is for {pattern.kind}, patch is {spec.kind}")
-    m = pattern.modulus
+    m = len(pattern.labels)
     if (spec.width * pattern.x_coeff) % m or (spec.height * pattern.y_coeff) % m:
         raise IncompatibleTorusError(
             f"{spec.width}x{spec.height} torus does not wrap the pattern period")
@@ -150,22 +147,22 @@ def pattern_labeling(pattern: TilingPattern, patch: Patch) -> Labeling:
     return Labeling(patch.graph, tuple(labels))
 
 
-# (modulus, x_coeff, y_coeff, labels); two 2s among the deg+3 residues
+# (x_coeff, y_coeff, labels); two 2s among the deg+3 residues
 _PATTERNS = {
-    "square": (7, 1, 2, (2, 0, 0, 2, 0, 0, 0)),
-    "hexagonal": (6, 2, 2, (0, 0, 0, 2, 2, 0)),
-    "triangular": (9, 1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2)),
+    "square": (1, 2, (2, 0, 0, 2, 0, 0, 0)),
+    "hexagonal": (2, 2, (0, 0, 0, 2, 2, 0)),
+    "triangular": (1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2)),
 }
 
 
 def find_pattern(kind: str) -> TilingPattern:
     """The built-in periodic labeling of the lattice, checked on its minimal
-    (modulus x modulus) torus: it must be valid at attack 2 and meet the
+    (period x period) torus: it must be valid at attack 2 and meet the
     4/(degree+3) target density, or BadSpecError is raised."""
     if kind not in LATTICE_KINDS:
         raise BadSpecError(f"unknown tiling kind: {kind!r}")
     pattern = TilingPattern(kind, *_PATTERNS[kind])
-    m = pattern.modulus
+    m = len(pattern.labels)
     patch = generate_patch(PatchSpec(kind, m, m, "torus"))
     labeling = pattern_labeling(pattern, patch)
     target = density_lower_bound(LATTICE_DEGREE[kind])
@@ -219,13 +216,13 @@ def pattern_table(pattern: TilingPattern) -> str:
 
 def _realized_residues(pattern: TilingPattern) -> dict[int, tuple[int, int]]:
     """Each residue class some lattice cell takes, with its first cell
-    (dx, dy) in row-major order over one modulus x modulus period.
+    (dx, dy) in row-major order over one m x m period, m the number of labels.
 
-    Coefficients sharing a factor with the modulus realize only a subgroup
+    Coefficients sharing a factor with m realize only a subgroup
     coset of the residues.
     """
     seen: dict[int, tuple[int, int]] = {}
-    m = pattern.modulus
+    m = len(pattern.labels)
     for dy in range(m):
         for dx in range(m):
             r = (pattern.x_coeff * dx + pattern.y_coeff * dy) % m
@@ -245,6 +242,8 @@ def _lattice_ball(kind: str, radius: int) -> tuple[Graph, list[tuple[int, int]]]
     at most 1, so shortest paths from the center stay inside the patch and
     patch distances equal infinite-lattice distances.
     """
+    if radius < 0:
+        raise BadSpecError("radius must be >= 0")
     side = 2 * radius + 1
     patch = generate_patch(PatchSpec(kind, side, side, "open"))
     center = patch.vertex_id(radius, radius)
@@ -255,10 +254,6 @@ def _lattice_ball(kind: str, radius: int) -> tuple[Graph, list[tuple[int, int]]]
 
 def ball_graph(kind: str, radius: int) -> Graph:
     """Induced subgraph on the lattice vertices within the given radius."""
-    if kind not in LATTICE_KINDS:
-        raise BadSpecError(f"unknown tiling kind: {kind!r}")
-    if radius < 0:
-        raise BadSpecError("radius must be >= 0")
     return _lattice_ball(kind, radius)[0]
 
 
@@ -293,8 +288,6 @@ def ball_density_bounds(kind: str, radii) -> list[tuple[int, Fraction, Fraction]
     pattern = find_pattern(kind)
     out = []
     for radius in radii:
-        if radius < 0:
-            raise BadSpecError("radius must be >= 0")
         sub, coords = _lattice_ball(kind, radius)
         labels = [pattern.label_at(x, y) for (x, y) in coords]
         labeling = Labeling(sub, tuple(labels))

@@ -113,6 +113,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(p5), "--all")
         assert code == 0 and out.endswith("minimum labelings: 1\n  0,2,0,2,0\n")
 
+    def test_one_sided_mention_warns(self, capsys, tmp_path):
+        path = tmp_path / "one_sided.txt"
+        path.write_text("0;-1;1\n1;-1;\n2;-1;\n")
+        code, out, err = run(capsys, "solve", str(path), "--json")
+        assert code == 0
+        assert err == "warning: vertex 0 lists 1 but not vice versa; edge kept\n"
+        assert json.loads(out)["edge_count"] == 1
+
     def test_method_selection(self, capsys, fixtures_dir):
         for method in ("bruteforce", "eccd", "auto"):
             code, out, _ = run(capsys, "solve", fixture(fixtures_dir, "k66.txt"),
@@ -226,6 +234,11 @@ class TestTiling:
     def test_bad_size(self, capsys):
         code, _, err = run(capsys, "tiling", "square", "--size", "7by7")
         assert code == 2
+
+    def test_size_not_integers(self, capsys):
+        code, _, err = run(capsys, "tiling", "square", "--size", "7xa")
+        assert code == 2
+        assert "size must look like WxH, got '7xa'" in err
 
     def test_incompatible_torus(self, capsys):
         code, _, err = run(capsys, "tiling", "hexagonal", "--size", "6x5",

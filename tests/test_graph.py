@@ -37,6 +37,23 @@ class TestBuildGraph:
         assert g.external_id(1) == 20
         assert g.internal_id(30) == 2
 
+    def test_unknown_external_id(self):
+        g = build_graph(3, [(0, 1)], external_ids=[10, 20, 30])
+        with pytest.raises(OutOfRangeError) as info:
+            g.internal_id(7)
+        assert info.value.vertex == 7
+
+    @pytest.mark.parametrize("edge, bad", [((0.0, 1), 0.0), ((0, 1.0), 1.0), (("a", 1), "a")],
+                             ids=["float_u", "float_v", "str_u"])
+    def test_endpoint_not_an_int(self, edge, bad):
+        with pytest.raises(OutOfRangeError) as info:
+            build_graph(3, [edge])
+        assert info.value.vertex == bad
+
+    def test_edge_not_a_pair(self):
+        with pytest.raises(TypeError):
+            build_graph(3, [5])
+
     def test_external_ids_must_be_bijective(self):
         with pytest.raises(ValueError):
             build_graph(2, [], external_ids=[5, 5])

@@ -32,6 +32,10 @@ class TestParse:
         with pytest.raises(MixedLabelsError):
             parse_graph_file("0;-1;1\n1;2;0")
 
+    def test_mixed_labels_concrete_first(self):
+        with pytest.raises(MixedLabelsError):
+            parse_graph_file("0;2;1\n1;-1;0")
+
     def test_duplicate_vertex(self):
         with pytest.raises(DuplicateVertexError):
             parse_graph_file("0;1;\n0;1;")

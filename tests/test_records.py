@@ -45,9 +45,8 @@ CASES = [
     (Patch, (PatchSpec("square", 3, 1), P3),
      "Patch(spec=PatchSpec(kind='square', width=3, height=1, wrap='open'),"
      " graph=Graph(order=3, edges=2))"),
-    (TilingPattern, ("square", 7, 1, 2, (2, 0, 0, 2, 0, 0, 0)),
-     "TilingPattern(kind='square', modulus=7, x_coeff=1, y_coeff=2,"
-     " labels=(2, 0, 0, 2, 0, 0, 0))"),
+    (TilingPattern, ("square", 1, 2, (2, 0, 0, 2, 0, 0, 0)),
+     "TilingPattern(kind='square', x_coeff=1, y_coeff=2, labels=(2, 0, 0, 2, 0, 0, 0))"),
     (PatternReport, (7, 7, True, Fraction(4, 7), 28, 49),
      "PatternReport(width=7, height=7, valid=True, density=Fraction(4, 7), weight=28,"
      " order=49, witness=None)"),

@@ -1084,6 +1084,11 @@ class TestAssignPrivateNeighbors:
         with pytest.raises(NotMinimumError):
             assign_private_neighbors(g, Labeling(g, (0, 0, 0)))
 
+    def test_labeling_of_another_graph_rejected(self):
+        g, h = fam("path", 5), fam("cycle", 5)
+        with pytest.raises(ValueError, match="does not belong"):
+            assign_private_neighbors(g, Labeling(h, (0, 2, 0, 2, 0)))
+
 
 class TestStripOnes:
     def test_p4(self):

@@ -15,6 +15,28 @@ DEGREES = {"square": 4, "hexagonal": 3, "triangular": 6}
 MIN_TORUS = {"square": (7, 7), "hexagonal": (6, 6), "triangular": (9, 9)}
 
 
+def _edges_by_definition(kind, w, h, torus):
+    """The edges of a w x h patch as the module docstring states them: from
+    (x, y) to (x+1, y); to (x, y+1), on the brick wall only when x+y is even;
+    on the triangular lattice also to (x+1, y+1).  On the torus coordinates
+    wrap; on an open patch a neighbor outside it is no neighbor."""
+    def vid(x, y):
+        if torus:
+            return (y % h) * w + x % w
+        return y * w + x if x < w and y < h else None
+
+    edges = set()
+    for y in range(h):
+        for x in range(w):
+            targets = [vid(x + 1, y)]
+            if kind != "hexagonal" or (x + y) % 2 == 0:
+                targets.append(vid(x, y + 1))
+            if kind == "triangular":
+                targets.append(vid(x + 1, y + 1))
+            edges.update(frozenset((y * w + x, t)) for t in targets if t is not None)
+    return edges
+
+
 class TestGeneratePatch:
     def test_square_open_counts(self):
         patch = generate_patch(PatchSpec("square", 3, 3, "open"))
@@ -58,6 +80,30 @@ class TestGeneratePatch:
         with pytest.raises(IncompatibleTorusError):
             PatchSpec("square", 2, 2, "torus")
 
+    def test_bad_wrap(self):
+        with pytest.raises(BadSpecError):
+            PatchSpec("square", 3, 3, "bogus")
+
+    @pytest.mark.parametrize("kind", ["square", "triangular"])
+    def test_torus_of_height_two_rejected(self, kind):
+        with pytest.raises(IncompatibleTorusError):
+            PatchSpec(kind, 3, 2, "torus")
+
+    @pytest.mark.parametrize("wrap", ["open", "torus"])
+    @pytest.mark.parametrize("kind", sorted(DEGREES))
+    def test_edges_match_the_module_docstring(self, kind, wrap):
+        torus = wrap == "torus"
+        for w in range(1, 9):
+            for h in range(1, 9):
+                try:
+                    spec = PatchSpec(kind, w, h, wrap)
+                except IncompatibleTorusError:
+                    continue
+                g = generate_patch(spec).graph
+                assert g.order == w * h and g.external_ids == tuple(range(w * h))
+                edges = [frozenset(e) for e in g.edges()]
+                assert set(edges) == _edges_by_definition(kind, w, h, torus), (w, h)
+
     def test_coordinates_roundtrip(self):
         patch = generate_patch(PatchSpec("square", 5, 4, "open"))
         for v in patch.graph.vertices():
@@ -74,7 +120,7 @@ class TestPatterns:
 
     def test_declared_density_counts_realized_residues_only(self):
         # coefficients 2, 2 mod 6 never reach residues 1, 3 and 5
-        pattern = TilingPattern("hexagonal", 6, 2, 2, (0, 0, 1, 2, 2, 0))
+        pattern = TilingPattern("hexagonal", 2, 2, (0, 0, 1, 2, 2, 0))
         assert pattern.declared_density == 1
         assert verify_pattern(pattern, [(6, 6)])[0].density == 1
         rows = [line.split() for line in pattern_table(pattern).splitlines()]
@@ -85,16 +131,16 @@ class TestPatterns:
         assert find_pattern("triangular").labels == (0, 0, 0, 0, 2, 0, 0, 0, 2)
 
     @pytest.mark.parametrize("kind,fields", [
-        ("square", (7, 1, 2, (2, 0, 0, 2, 0, 0, 0))),
-        ("hexagonal", (6, 2, 2, (0, 0, 0, 2, 2, 0))),
-        ("triangular", (9, 1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2))),
+        ("square", (1, 2, (2, 0, 0, 2, 0, 0, 0))),
+        ("hexagonal", (2, 2, (0, 0, 0, 2, 2, 0))),
+        ("triangular", (1, 1, (0, 0, 0, 0, 2, 0, 0, 0, 2))),
     ])
     def test_builtin_patterns_pinned(self, kind, fields):
         assert find_pattern(kind) == TilingPattern(kind, *fields)
 
     @pytest.mark.parametrize("kind,fields", [
-        ("square", (7, 1, 2, (2, 2, 0, 0, 0, 0, 0))),  # right density, invalid
-        ("hexagonal", (6, 2, 2, (0, 0, 1, 2, 2, 0))),  # valid, too dense
+        ("square", (1, 2, (2, 2, 0, 0, 0, 0, 0))),  # right density, invalid
+        ("hexagonal", (2, 2, (0, 0, 1, 2, 2, 0))),  # valid, too dense
     ])
     def test_broken_builtin_pattern_rejected(self, monkeypatch, kind, fields):
         monkeypatch.setitem(tilings._PATTERNS, kind, fields)
@@ -117,8 +163,12 @@ class TestPatterns:
             assert report.valid
             assert report.density == TARGETS[kind]
 
+    def test_label_outside_the_label_set_rejected(self):
+        with pytest.raises(BadSpecError):
+            TilingPattern("square", 1, 1, (0, 3))
+
     def test_all_one_pattern_valid_everywhere(self):
-        ones = TilingPattern("square", 1, 1, 1, (1,))
+        ones = TilingPattern("square", 1, 1, (1,))
         report = verify_pattern(ones, [(5, 5)])[0]
         assert report.valid and report.density == 1
 
@@ -148,7 +198,7 @@ class TestPatterns:
     def test_pattern_table_shape(self):
         for kind in TARGETS:
             pattern = find_pattern(kind)
-            m = pattern.modulus
+            m = len(pattern.labels)
             realized = {(pattern.x_coeff * dx + pattern.y_coeff * dy) % m
                         for dx in range(m) for dy in range(m)}
             lines = pattern_table(pattern).strip().splitlines()
@@ -215,3 +265,13 @@ class TestBallDensities:
     def test_bad_kind(self):
         with pytest.raises(BadSpecError):
             ball_density_sequence("cubic", [1])
+
+    @pytest.mark.parametrize("call", [
+        lambda: ball_graph("square", -1),
+        lambda: ball_density_sequence("square", [1, -1]),
+        lambda: ball_density_sequence("path", [1, -1]),
+        lambda: ball_density_bounds("hexagonal", [1, -1]),
+    ], ids=["ball_graph", "sequence_lattice", "sequence_path", "bounds"])
+    def test_negative_radius(self, call):
+        with pytest.raises(BadSpecError, match="radius must be >= 0"):
+            call()
