@@ -46,8 +46,7 @@ def _ext_ids(graph, vertices):
 def _cmd_validate(args) -> int:
     parsed = _load(args.file)
     if parsed.labeling is None:
-        print("error: file has no labels to validate", file=sys.stderr)
-        return 2
+        raise ValueError("file has no labels to validate")
     report = validate(parsed.labeling, args.attack)
     witness = None if report.witness is None else _ext_ids(parsed.graph, report.witness)
     if args.json:
@@ -155,13 +154,11 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise BadSpecError(f"size must look like WxH, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
+    try:  # a part that is no int and a count other than two both raise ValueError
+        width, height = map(int, text.lower().split("x"))
     except ValueError:
         raise BadSpecError(f"size must look like WxH, got {text!r}") from None
+    return width, height
 
 
 def _cmd_tiling(args) -> int:
@@ -171,8 +168,7 @@ def _cmd_tiling(args) -> int:
         sys.stdout.write(tilings.pattern_table(tilings.find_pattern(args.kind)))
         return 0
     if args.size is None:
-        print("error: --size is required", file=sys.stderr)
-        return 2
+        raise BadSpecError("--size is required")
     width, height = _parse_size(args.size)
     if args.verify_pattern:
         pattern = tilings.find_pattern(args.kind)

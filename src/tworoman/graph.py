@@ -41,7 +41,14 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Finite simple undirected graph, immutable after construction."""
+    """Finite simple undirected graph, immutable after construction.
+
+    Each edge endpoint must be a vertex id, an int (not a bool) in
+    0..order-1, or OutOfRangeError names it; an edge joining a vertex to
+    itself raises SelfLoopError.  ``external_ids``, when given, must be
+    distinct ints >= 0, one per vertex, as the file format requires, or
+    ValueError is raised; by default they are the internal ids.
+    """
 
     __slots__ = ("order", "_nbrs", "_ext")
 
@@ -51,20 +58,18 @@ class Graph:
             raise OutOfRangeError(order)
         adj = [set() for _ in range(order)]
         for u, v in edges:
-            try:
-                if not (0 <= u < order):
-                    raise OutOfRangeError(u)
-                if not (0 <= v < order):
-                    raise OutOfRangeError(v)
-                if u == v:
-                    raise SelfLoopError(u)
-                adj[u].add(v)
-                adj[v].add(u)
-            except TypeError:  # an endpoint that is no int fails a comparison or an index
-                raise OutOfRangeError(v if isinstance(u, int) else u) from None
-        ext = tuple(external_ids) if external_ids is not None else tuple(range(order))
-        if len(ext) != order or len(set(ext)) != order:
-            raise ValueError("external_ids must be a bijection onto internal ids")
+            if not (type(u) is int and 0 <= u < order):
+                raise OutOfRangeError(u)
+            if not (type(v) is int and 0 <= v < order):
+                raise OutOfRangeError(v)
+            if u == v:
+                raise SelfLoopError(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        ext = None if external_ids is None else tuple(external_ids)
+        if ext is not None and not (all(type(e) is int and e >= 0 for e in ext)
+                                    and len(set(ext)) == len(ext) == order):
+            raise ValueError("external_ids must be distinct ints >= 0, one per vertex")
         self._set(tuple(tuple(sorted(s)) for s in adj), ext)
 
     def _set(self, nbrs: tuple[tuple[int, ...], ...], ext: tuple[int, ...] | None) -> None:
@@ -86,9 +91,10 @@ class Graph:
         return range(self.order)
 
     def _vertex(self, v: int) -> int:
-        """``v`` itself when it is a vertex id, an int in 0..order-1; anything
-        else raises OutOfRangeError.  The one range rule of the accessors."""
-        if not (isinstance(v, int) and 0 <= v < self.order):
+        """``v`` itself when it is a vertex id, an int (not a bool) in
+        0..order-1; anything else raises OutOfRangeError.  The constructor's
+        endpoint rule, and the one range rule of the accessors."""
+        if not (type(v) is int and 0 <= v < self.order):
             raise OutOfRangeError(v)
         return v
 
@@ -126,9 +132,10 @@ class Graph:
 
     def internal_id(self, ext: int) -> int:
         """The internal id of external id ``ext``, found by a scan of the
-        external ids; OutOfRangeError when the graph has no such vertex."""
+        external ids; OutOfRangeError when the graph has no such vertex.  An
+        external id is an int, so a bool or a float equal to one is none."""
         try:
-            return self._ext.index(ext)
+            return self._ext.index(ext if type(ext) is int else None)
         except ValueError:
             raise OutOfRangeError(ext) from None
 

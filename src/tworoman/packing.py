@@ -53,7 +53,7 @@ def check_eccd(graph: Graph, eccd: EccdSet) -> None:
         if len(set(t)) != 5:
             raise InvalidEccdError(f"tuple {t} repeats a vertex")
         for v in t:
-            if not (isinstance(v, int) and 0 <= v < graph.order):
+            if not (type(v) is int and 0 <= v < graph.order):
                 raise InvalidEccdError(f"tuple {t} leaves the graph")
         for x, y in zip(t, t[1:]):
             if not graph.has_edge(x, y):

@@ -320,27 +320,26 @@ def solve(graph: Graph, opts: SolveOptions | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _require_minimum(graph: Graph, labeling: Labeling):
-    if labeling.graph != graph:
-        raise ValueError("labeling does not belong to this graph")
+def _require_minimum(labeling: Labeling):
     if not validate(labeling, 2).valid:
         raise NotMinimumError("labeling is not a valid 2-attack labeling")
-    gamma = solve(graph).gamma
+    gamma = solve(labeling.graph).gamma
     if labeling.weight != gamma:
         raise NotMinimumError(
             f"labeling weight {labeling.weight} differs from minimum {gamma}")
 
 
-def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, dict[int, int]]:
-    """Delete edges until every 2-vertex owns a private 0-neighbor.
+def assign_private_neighbors(labeling: Labeling) -> tuple[Graph, dict[int, int]]:
+    """Delete edges of ``labeling.graph`` until every 2-vertex owns a private
+    0-neighbor.
 
     Works on a minimum labeling only.  Existing private neighbors are kept
     (lowest id per 2-vertex); each remaining 2-vertex adopts its lowest-id
     0-neighbor and that neighbor's edges to all other 2-vertices are removed.
     Returns the spanning subgraph and the 2-vertex -> private-0 matching.
     """
-    _require_minimum(graph, labeling)
-    labels = labeling.labels
+    _require_minimum(labeling)
+    graph, labels = labeling.graph, labeling.labels
     adj = [set(t) for t in graph.neighbor_tuples()]  # edited below
     matching: dict[int, int] = {}
     for v, lab in enumerate(labels):
@@ -364,9 +363,10 @@ def assign_private_neighbors(graph: Graph, labeling: Labeling) -> tuple[Graph, d
     return sub, matching
 
 
-def strip_ones(graph: Graph, labeling: Labeling) -> tuple[Graph, Labeling]:
-    """Induced subgraph on the 0- and 2-labeled vertices, labels carried over."""
-    _require_minimum(graph, labeling)
+def strip_ones(labeling: Labeling) -> tuple[Graph, Labeling]:
+    """Induced subgraph of ``labeling.graph`` on the 0- and 2-labeled
+    vertices, labels carried over.  Works on a minimum labeling only."""
+    _require_minimum(labeling)
     keep = [v for v, lab in enumerate(labeling.labels) if lab != 1]
-    sub = induced_subgraph(graph, keep)
+    sub = induced_subgraph(labeling.graph, keep)
     return sub, Labeling(sub, tuple(labeling.labels[v] for v in keep))

@@ -27,6 +27,12 @@ class TestBuildGraph:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             build_graph(3, [(0, 3)])
+        with pytest.raises(OutOfRangeError) as info:  # the first endpoint is the bad one
+            build_graph(3, [(5, 0)])
+        assert info.value.vertex == 5
+        with pytest.raises(OutOfRangeError) as info:
+            Graph(-1, [])
+        assert info.value.vertex == -1
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -43,12 +49,13 @@ class TestBuildGraph:
             g.internal_id(7)
         assert info.value.vertex == 7
 
-    @pytest.mark.parametrize("edge, bad", [((0.0, 1), 0.0), ((0, 1.0), 1.0), (("a", 1), "a")],
-                             ids=["float_u", "float_v", "str_u"])
+    @pytest.mark.parametrize("edge, bad", [((0.0, 1), 0.0), ((0, 1.0), 1.0), (("a", 1), "a"),
+                                           ((True, 0), True), ((1.0, 1), 1.0)],
+                             ids=["float_u", "float_v", "str_u", "bool_u", "float_loop"])
     def test_endpoint_not_an_int(self, edge, bad):
         with pytest.raises(OutOfRangeError) as info:
             build_graph(3, [edge])
-        assert info.value.vertex == bad
+        assert info.value.vertex == bad and type(info.value.vertex) is type(bad)
 
     def test_edge_not_a_pair(self):
         with pytest.raises(TypeError):
@@ -57,6 +64,13 @@ class TestBuildGraph:
     def test_external_ids_must_be_bijective(self):
         with pytest.raises(ValueError):
             build_graph(2, [], external_ids=[5, 5])
+
+    @pytest.mark.parametrize("ids", [[-3, 5], ["a", -3], [True, 5]],
+                             ids=["negative", "str", "bool"])
+    def test_external_ids_must_be_ints_a_file_can_hold(self, ids):
+        # the file format reads only ints >= 0 as vertex ids
+        with pytest.raises(ValueError, match="distinct ints >= 0"):
+            build_graph(2, [(0, 1)], external_ids=ids)
 
 
 class TestOpenNeighborhood:
@@ -90,6 +104,8 @@ class TestBall:
     def test_radius_zero(self):
         g = generate(FamilySpec("cycle", (5,)))
         assert ball(g, 2, 0).order == 1
+        with pytest.raises(ValueError, match="radius"):
+            ball(g, 2, -1)
 
     def test_radius_beyond_diameter(self):
         c6 = generate(FamilySpec("cycle", (6,)))
@@ -109,22 +125,25 @@ C6 = generate(FamilySpec("cycle", (6,)))
 
 class TestVertexIds:
     """Every accessor takes only an int in 0..order-1 as a vertex id: a
-    negative id does not wrap to the end, and a float is no id."""
+    negative id does not wrap to the end, and a float or a bool is no id,
+    nor an external id."""
 
     @pytest.mark.parametrize("call", [
         lambda: C6.has_edge(-1, 0),
         lambda: C6.has_edge(0, -1),
+        lambda: C6.has_edge(True, 0),
         lambda: C6.neighbors(-1),
         lambda: C6.degree(-1),
         lambda: C6.external_id(-1),
+        lambda: C6.internal_id(True),
         lambda: C6.neighbors(6),
         lambda: C6.degree(6.0),
         lambda: ball(C6, 0.0, 1),
         lambda: ball(C6, 6, -1),  # the center is checked before the radius
         lambda: open_neighborhood(C6, [0.0]),
         lambda: induced_subgraph(C6, [0.0, 1]),
-    ], ids=["has_edge_neg_u", "has_edge_neg_v", "neighbors_neg", "degree_neg",
-            "external_id_neg", "neighbors_past_end", "degree_float", "ball_float_center",
+    ], ids=["has_edge_neg_u", "has_edge_neg_v", "has_edge_bool", "neighbors_neg", "degree_neg",
+            "external_id_neg", "internal_id_bool", "neighbors_past_end", "degree_float", "ball_float_center",
             "ball_center_before_radius", "open_neighborhood_float", "induced_subgraph_float"])
     def test_rejected(self, call):
         with pytest.raises(OutOfRangeError):
@@ -204,12 +223,12 @@ def test_open_neighborhood_disjoint_from_set(g, raw):
 
 def _showcase_private():
     g = eccd_showcase_graph()
-    return assign_private_neighbors(g, solve(g).labeling)[0]
+    return assign_private_neighbors(solve(g).labeling)[0]
 
 
 def _grid_private():
     g = generate(FamilySpec("grid", (3, 4)))
-    return assign_private_neighbors(g, solve(g).labeling)[0]
+    return assign_private_neighbors(solve(g).labeling)[0]
 
 
 CONSTRUCTIONS = {

@@ -222,12 +222,23 @@ class TestWrite:
 
 @st.composite
 def labeled_graph(draw, max_order=9):
+    """A labeled graph with the default external ids or with distinct,
+    unsorted, non-negative ones."""
     n = draw(st.integers(min_value=1, max_value=max_order))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
+    ids = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                                    unique=True))
+    g = build_graph(n, [p for p, keep in zip(pairs, picks) if keep], ids)
     labels = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     return g, Labeling(g, labels)
+
+
+def _by_external_id(g, labels):
+    """The edge set and the labels of a labeled graph, in external ids."""
+    ext = g.external_id
+    return ({frozenset(map(ext, e)) for e in g.edges()},
+            {ext(v): lab for v, lab in enumerate(labels)})
 
 
 @given(labeled_graph())
@@ -236,6 +247,9 @@ def test_write_parse_roundtrip(case):
     g, lab = case
     text = write_graph_file(g, lab)
     parsed = parse_graph_file(text)
-    assert parsed.graph == g
-    assert parsed.labeling.labels == lab.labels
     assert write_graph_file(parsed.graph, parsed.labeling) == text
+    assert (_by_external_id(parsed.graph, parsed.labeling.labels)
+            == _by_external_id(g, lab.labels))
+    if list(g.external_ids) == sorted(g.external_ids):  # the file keeps the vertex order
+        assert parsed.graph == g
+        assert parsed.labeling.labels == lab.labels

@@ -129,6 +129,15 @@ class TestValidate:
         g, lab = fig1_star_labeled()
         with pytest.raises(ValueError):
             validate(lab, 0)
+        with pytest.raises(ValueError):
+            validate_by_enumeration(lab, 0)
+
+    def test_default_attack_is_two(self):
+        # P3 labeled 0-2-0 survives any one attack but not both 0s at once
+        lab = Labeling(generate(FamilySpec("path", (3,))), (0, 2, 0))
+        assert validate(lab, 1).valid
+        assert validate(lab) == validate(lab, 2)
+        assert validate(lab).witness == (0, 2)
 
     def test_witness_is_rechckable_violation(self):
         g = generate(FamilySpec("star", (4,)))

@@ -657,6 +657,9 @@ class TestEccd:
             check_eccd(g, EccdSet(((0, 1, 2, 3, 4, 5),)))
         with pytest.raises(InvalidEccdError, match="has 6 vertices, not 5"):
             check_eccd(fam("cycle", 5), EccdSet(((0, 1, 2, 3, 4, 0),)))
+        # a closed walk of 5 vertices
+        with pytest.raises(InvalidEccdError, match="repeats a vertex"):
+            check_eccd(fam("cycle", 4), EccdSet(((0, 1, 2, 3, 0),)))
 
     def test_check_rejects_non_int_vertex(self):
         g = fam("cycle", 6)
@@ -665,6 +668,8 @@ class TestEccd:
             check_eccd(g, eccd)
         with pytest.raises(InvalidEccdError, match="leaves the graph"):
             eccd_to_labeling(g, eccd)
+        with pytest.raises(InvalidEccdError, match="leaves the graph"):
+            check_eccd(g, EccdSet(((True, 2, 3, 4, 5),)))
 
     def test_check_rejects_duplicate(self):
         # equal tuples that are distinct objects, as well as one object twice
@@ -1057,7 +1062,7 @@ class TestAssignPrivateNeighbors:
     def test_public_only_labeling_gets_deletions(self):
         _, minimum = allepn_labelings()
         g = minimum.graph
-        sub, matching = assign_private_neighbors(g, minimum)
+        sub, matching = assign_private_neighbors(minimum)
         assert sub.order == g.order
         assert sub.edge_count() == g.edge_count() - 2
         assert matching == {3: 0, 4: 1}
@@ -1070,30 +1075,25 @@ class TestAssignPrivateNeighbors:
     def test_existing_epns_kept(self):
         g = fam("path", 5)
         lab = Labeling(g, (0, 2, 0, 2, 0))
-        sub, matching = assign_private_neighbors(g, lab)
+        sub, matching = assign_private_neighbors(lab)
         assert sub == g
         assert matching == {1: 0, 3: 4}
 
     def test_not_minimum_rejected(self):
         heavy, _ = allepn_labelings()
         with pytest.raises(NotMinimumError):
-            assign_private_neighbors(heavy.graph, heavy)
+            assign_private_neighbors(heavy)
 
     def test_invalid_rejected(self):
         g = fam("path", 3)
         with pytest.raises(NotMinimumError):
-            assign_private_neighbors(g, Labeling(g, (0, 0, 0)))
-
-    def test_labeling_of_another_graph_rejected(self):
-        g, h = fam("path", 5), fam("cycle", 5)
-        with pytest.raises(ValueError, match="does not belong"):
-            assign_private_neighbors(g, Labeling(h, (0, 2, 0, 2, 0)))
+            assign_private_neighbors(Labeling(g, (0, 0, 0)))
 
 
 class TestStripOnes:
     def test_p4(self):
         g = fam("path", 4)
-        sub, lab = strip_ones(g, Labeling(g, (0, 2, 1, 1)))
+        sub, lab = strip_ones(Labeling(g, (0, 2, 1, 1)))
         assert sub.order == 2 and sub.edge_count() == 1
         assert lab.labels == (0, 2)
         assert gamma_bruteforce(sub).gamma == 2
@@ -1101,26 +1101,26 @@ class TestStripOnes:
     def test_no_ones_is_identity(self):
         g = fam("complete", 6)
         lab = Labeling(g, (2, 0, 2, 0, 0, 0))
-        sub, induced = strip_ones(g, lab)
+        sub, induced = strip_ones(lab)
         assert sub == g and induced.labels == lab.labels
 
     def test_star(self):
         g = fam("star", 4)
-        sub, lab = strip_ones(g, Labeling(g, (2, 0, 1, 1, 1)))
+        sub, lab = strip_ones(Labeling(g, (2, 0, 1, 1, 1)))
         assert sub.order == 2 and sub.edge_count() == 1
         assert lab.labels == (2, 0)
 
     def test_induced_labeling_is_minimum_of_subgraph(self):
         for g in sampled_connected_graphs(6, 15, seed=31):
             for m in enumerate_minimum_labelings(g)[:4]:
-                sub, induced = strip_ones(g, m)
+                sub, induced = strip_ones(m)
                 assert validate(induced, 2).valid
                 assert induced.weight == gamma_bruteforce(sub).gamma
 
     def test_not_minimum_rejected(self):
         g = fam("path", 4)
         with pytest.raises(NotMinimumError):
-            strip_ones(g, Labeling(g, (2, 0, 2, 1)))  # valid but weight 5 > 4
+            strip_ones(Labeling(g, (2, 0, 2, 1)))  # valid but weight 5 > 4
 
 
 class TestSolveDispatch:
