@@ -23,8 +23,8 @@ from tworoman import limits, packing, search, solver as solver_module, tilings
 from tworoman.graph import iter_bits, mask_of, neighbor_masks
 from tworoman.packing import (_assemble_eccd, _eccd_gain_table, _max_eccd_engine,
                               _min_cost_leaf_assignment)
-from tworoman.search import (_Discharge, _frontier, _positions, _seal_scan, _seal_tables,
-                             _search, _search_order)
+from tworoman.search import (_Discharge, _frontier, _positions, _seal_conflict, _seal_scan,
+                             _seal_tables, _search, _search_order)
 from tworoman.solver import _packing_pays
 
 
@@ -107,9 +107,40 @@ class TestDischargeBound:
 
     @staticmethod
     def _prefix_orders(nbrs):
-        return _seal_scan(nbrs), _search_order(nbrs)[0], list(range(len(nbrs)))
+        return _seal_scan(nbrs)[0], _search_order(nbrs)[0], list(range(len(nbrs)))
+
+    @staticmethod
+    def _walk(bound, labels, order):
+        """Walk the prefixes of ``labels`` along ``order`` as ``_search`` does:
+        one ``step``, the seal checks of that position, then the claims they
+        make.  Fails when a seal check cuts a prefix; yields (state, state
+        from scratch, weight of the prefix) after each vertex."""
+        nbrs, adj, attack = bound.nbrs, bound.adj, bound.attack_n
+        n = len(nbrs)
+        pos, last, close, sealed, later = _seal_tables(nbrs, order)
+        bound.claimed = bytearray(n)
+        und = (1 << n) - 1
+        twos = zeros = wgt = 0
+        state = bound.root
+        for i, v in enumerate(order):
+            state = bound.step(state, v, i, last, close, later[i], twos, labels)[labels[v]]
+            und &= ~(1 << v)
+            wgt += labels[v]
+            if labels[v] == 2:
+                twos |= 1 << v
+            elif labels[v] == 0:
+                zeros |= 1 << v
+            claims = _seal_conflict(adj, nbrs, labels, twos, sealed[i], close, i, attack)
+            assert claims is not None, (i, v)
+            if claims:
+                state = bound.claim(state, claims, i, pos, last, close, twos, labels)
+            yield state, bound.state(und, twos, zeros), wgt
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
+        # After every decided vertex, claims applied, the incremental state
+        # equals the one from scratch, and its bound never exceeds what the
+        # minimum labeling still spends.  The seal checks cut no prefix of a
+        # minimum labeling, so every child walked here is one _search keeps.
         rng = random.Random(2023)
         for _ in range(80):
             n = rng.randint(1, 7)
@@ -120,25 +151,67 @@ class TestDischargeBound:
                 gamma = sum(minima[0])
                 bound = _Discharge(nbrs, attack)
                 assert bound.root == bound.state((1 << n) - 1)
+                assert bound.root[2] <= gamma
                 for labels in minima:
                     for order in self._prefix_orders(nbrs):
-                        last, close, _, later = _seal_tables(nbrs, order)
-                        und = (1 << n) - 1
-                        twos = zeros = wgt = 0
-                        state = bound.state(und)
-                        assert state[2] <= gamma
-                        for i, v in enumerate(order):
-                            und &= ~(1 << v)
-                            kids = bound.step(state, v, i, last, close, later[i], twos, labels)
-                            state = kids[labels[v]]
-                            wgt += labels[v]
-                            if labels[v] == 2:
-                                twos |= 1 << v
-                            elif labels[v] == 0:
-                                zeros |= 1 << v
-                            assert state == bound.state(und, twos, zeros)
-                            assert state[2] <= gamma - wgt, (
-                                n, list(g.edges()), attack, labels, order)
+                        for state, scratch, wgt in self._walk(bound, labels, order):
+                            case = (n, list(g.edges()), attack, labels, order)
+                            assert state == scratch, case
+                            assert state[2] <= gamma - wgt, case
+
+    def test_forced_vertex_labeled_one_puts_a_half_owed_zero_back(self):
+        # Order 1, 0, 6, 3, 2, 5, 4 of a minimum labeling: sealing 0-labeled
+        # 1 claims the 2 on 0; 3 then gets 0 as its one 2, but its neighbor
+        # 2 is forced, so 3 owes nothing until 2 is labeled 1 at position 4,
+        # which puts 3 into H: it still needs a second 2, from 5.
+        g = build_graph(7, [(0, 1), (0, 3), (0, 6), (2, 3), (3, 5), (4, 5)])
+        bound = _Discharge(g.neighbor_tuples(), 2)
+        walk = list(self._walk(bound, (2, 0, 1, 0, 0, 2, 1), [1, 0, 6, 3, 2, 5, 4]))
+        assert all(state == scratch for state, scratch, _ in walk)
+        assert [state[3] >> 3 & 1 for state, _, _ in walk] == [0, 0, 0, 0, 1, 0, 0]
+        assert bound.claimed[0]
+
+    @pytest.mark.parametrize("attack", [1, 2, 3, 4])
+    def test_seal_cuts_keep_every_minimum_labeling(self, attack):
+        # The exchange cuts never fire on a prefix of a minimum labeling,
+        # under any 2-cap: each maps a completion to a lighter valid one
+        # with no more 2s.
+        rng = random.Random(700 + attack)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            nbrs = g.neighbor_tuples()
+            valid = naive_valid_labelings(g, attack)
+            bound = _Discharge(nbrs, attack)
+            orders = self._prefix_orders(nbrs)
+            for cap in (None, 0, 1, 2):
+                allowed = [labs for labs in valid if cap is None or labs.count(2) <= cap]
+                gamma = min(sum(labs) for labs in allowed)
+                for labels in allowed:
+                    if sum(labels) == gamma:
+                        for order in orders:
+                            for state, _, wgt in self._walk(bound, labels, order):
+                                assert state[2] <= gamma - wgt, (
+                                    n, list(g.edges()), cap, labels, order)
+
+    @pytest.mark.parametrize("attack", [1, 2, 3])
+    def test_exchange_cut_examples(self, attack):
+        # P5 labeled 0-2-1-2-0: at attacks 1 and 2 the middle 1 sees enough
+        # 2s to stay valid as a 0 (weight 4); at attack 3 it must stay a 1.
+        g = fam("path", 5)
+        nbrs = g.neighbor_tuples()
+        adj = neighbor_masks(nbrs)
+        _, _, close, sealed, _ = _seal_tables(nbrs, range(5))
+        labels = [0, 2, 1, 2, 0]
+        i = close[2]
+        cut = _seal_conflict(adj, nbrs, labels, 0b01010, sealed[i], close, i, attack) is None
+        assert cut == (attack <= 2)
+        labels[2] = 0  # the lighter labeling: a 0 with two 2s claims neither
+        assert _seal_conflict(adj, nbrs, labels, 0b01010, sealed[i], close, i, attack) == ()
+        # An isolated 2 has no 0-neighbor to defend, so it is valid as a 1.
+        one = build_graph(1, []).neighbor_tuples()
+        assert _seal_conflict([0], one, [2], 1, [0], [0], 0, attack) is None
+        assert _seal_conflict([0], one, [1], 0, [0], [0], 0, attack) == ()
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
@@ -191,16 +264,18 @@ class TestDischargeBound:
             assert result.gamma == want
 
     def test_c18_node_pin(self):
+        # 24 nodes; 38 before the claims and the exchange cuts at the seal.
         result = gamma_bruteforce(fam("cycle", 18))
         assert result.gamma == 15
-        assert result.stats.nodes <= 2000
+        assert result.stats.nodes <= 40
 
     def test_c20_attack3_node_pin(self):
-        # The owed charge of the decided 0s with no 2-neighbor: 29,227 nodes,
-        # 58,585 without it.
+        # 18,335 nodes; 29,227 without the claims and the exchange cuts at
+        # the seal, and 58,585 also without the owed charge of the decided 0s
+        # with no 2-neighbor.
         result = gamma_bruteforce(fam("cycle", 20), SolveOptions(attack_n=3))
         assert result.gamma == 18
-        assert result.stats.nodes <= 40_000
+        assert result.stats.nodes <= 25_000
 
 
 class TestSearchCore:
@@ -221,6 +296,8 @@ class TestSearchCore:
         first = _search(bound, range(10), (0, 1, 2), gamma, 0, 10,
                         lambda labels, wgt, twos: leaves.append(tuple(labels)))
         assert leaves == minima[:1] and first < every
+        # Each pass clears the claim flags it sets, also when a leaf stops it.
+        assert not any(bound.claimed)
 
     @pytest.mark.parametrize("opts", [
         SolveOptions(),
@@ -336,7 +413,7 @@ class TestSealOrder:
     ], ids=["empty", "k1", "edgeless", "disconnected", "star", "grid", "complete"])
     def test_greedy_rule(self, g):
         nbrs = g.neighbor_tuples()
-        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)
+        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)[0]
         assert sorted(order) == list(range(g.order))
         placed = 0
         for v in order:
@@ -351,7 +428,7 @@ class TestSealOrder:
     def test_grid_sweep_keeps_one_row_on_the_frontier(self):
         g = fam("grid", 4, 6)
         nbrs = g.neighbor_tuples()
-        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)
+        adj, order = neighbor_masks(nbrs), _seal_scan(nbrs)[0]
         assert order[0] == 0
         placed = 0
         for v in order:
@@ -393,12 +470,14 @@ class TestSealOrder:
             assert fewest.count(2) == min(counts), case
             assert most.count(2) == max(counts), case
 
+    # Optimum-pass nodes 61, 2,265, 181, 365 and 263; 157, 6,023, 270, 639 and
+    # 558 without the claims and the exchange cuts at the seal.
     @pytest.mark.parametrize("g,gamma,limit", [
-        (fam("grid", 4, 4), 11, 250),
-        (fam("grid", 5, 5), 17, 10_000),
-        (sierpinski_graph(3), 24, 2_000),
-        (fam("grid", 3, 6), 13, 2_000),
-        (fam("grid", 4, 6), 16, 2_000),
+        (fam("grid", 4, 4), 11, 100),
+        (fam("grid", 5, 5), 17, 3_500),
+        (sierpinski_graph(3), 24, 300),
+        (fam("grid", 3, 6), 13, 600),
+        (fam("grid", 4, 6), 16, 450),
     ], ids=["grid4x4", "grid5x5", "sierpinski42", "grid3x6", "grid4x6"])
     def test_node_pins(self, g, gamma, limit):
         result = gamma_bruteforce(g)
@@ -407,10 +486,11 @@ class TestSealOrder:
 
     def test_grid4x8_node_pin(self):
         # stats.nodes counts the optimum pass only; the witness pass walks
-        # this grid in id order
+        # this grid in id order.  12,738 nodes; 28,513 without the claims
+        # and the exchange cuts at the seal.
         result = gamma_bruteforce(fam("grid", 4, 8))
         assert result.gamma == 22
-        assert result.stats.nodes <= 40_000
+        assert result.stats.nodes <= 14_000
 
     @pytest.mark.parametrize("g", SCAN_CORPUS, ids=SCAN_IDS)
     def test_started_scan_breaks_ties_by_distance(self, g):
@@ -424,7 +504,7 @@ class TestSealOrder:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         queue.append(w)
-            order = _seal_scan(nbrs, start)
+            order = _seal_scan(nbrs, start)[0]
             assert order[0] == start
             assert sorted(order) == list(range(g.order))
             placed = 1 << start
@@ -450,7 +530,7 @@ class TestSealOrder:
             assert sorted(order) == list(range(g.order))
             assert (score, width) == frontier_reference(nbrs, order)
             # The plain scan is kept unless a rival scores strictly lower.
-            plain = _seal_scan(nbrs)
+            plain = _seal_scan(nbrs)[0]
             plain_score = frontier_reference(nbrs, plain)[0]
             assert score <= plain_score
             if order != plain:
@@ -459,7 +539,7 @@ class TestSealOrder:
             # minimum-degree vertices, and none of them scores lower.
             low = min(map(len, nbrs), default=0)
             starts = [v for v, t in enumerate(nbrs) if len(t) == low][:3]
-            scans = [_seal_scan(nbrs, v) for v in starts]
+            scans = [_seal_scan(nbrs, v)[0] for v in starts]
             rivals = [(r, *frontier_reference(nbrs, r)) for r in scans]
             assert all(score <= r[1] for r in rivals)
             assert order == plain or (order, score, width) in rivals
@@ -467,7 +547,7 @@ class TestSealOrder:
         # corner start (0, 5 and 12 are the first corners) sweeps the columns.
         nbrs = fam("grid", 3, 6).neighbor_tuples()
         order, _, width = _search_order(nbrs)
-        assert _frontier(nbrs, _seal_scan(nbrs))[1] == 6
+        assert _frontier(nbrs, _seal_scan(nbrs)[0])[1] == 6
         assert width == 3 and order[0] in (0, 5, 12)
 
     def test_frontier_matches_quadratic_reference(self):
@@ -482,11 +562,34 @@ class TestSealOrder:
             nbrs = g.neighbor_tuples()
             shuffled = list(range(g.order))
             rng.shuffle(shuffled)
-            orders = [_seal_scan(nbrs), range(g.order), shuffled]
-            orders += [_seal_scan(nbrs, s) for s in range(min(g.order, 3))]
+            orders = [_seal_scan(nbrs)[0], range(g.order), shuffled]
+            orders += [_seal_scan(nbrs, s)[0] for s in range(min(g.order, 3))]
             for order in orders:
                 assert _frontier(nbrs, order) == frontier_reference(nbrs, order), (
                     list(g.edges()), list(order))
+
+    def test_scan_profile_and_early_stop_match_frontier(self):
+        # Each scan counts its own frontier profile, which _frontier gives
+        # again for its order, and stops once its score reaches ``stop``; so
+        # _search_order picks the order that scoring every full scan with
+        # _frontier picks, keeping the first strictly lowest score.
+        rng = random.Random(3131)
+        cases = [_random_graph(rng, rng.randint(0, 18), rng.choice((0.1, 0.2, 0.3, 0.5)))
+                 for _ in range(300)] + SCAN_CORPUS
+        for g in cases:
+            nbrs = g.neighbor_tuples()
+            low = min(map(len, nbrs), default=0)
+            starts = [v for v, t in enumerate(nbrs) if len(t) == low][:3]
+            best = None
+            for start in [None, *starts]:
+                order, score, width = _seal_scan(nbrs, start)
+                case = (list(g.edges()), start)
+                assert (score, width) == _frontier(nbrs, order), case
+                assert _seal_scan(nbrs, start, score + 1) == (order, score, width), case
+                assert g.order == 0 or _seal_scan(nbrs, start, score) is None, case
+                if best is None or score < best[1]:
+                    best = order, score, width
+            assert _search_order(nbrs) == best, list(g.edges())
 
     def test_position_tables_match_definitions(self):
         # Each table from scratch on seeded graphs and orders: last is the
@@ -501,13 +604,13 @@ class TestSealOrder:
             n = g.order
             shuffled = list(range(n))
             rng.shuffle(shuffled)
-            for order in (_seal_scan(nbrs), range(n), shuffled):
+            for order in (_seal_scan(nbrs)[0], range(n), shuffled):
                 order = list(order)
                 pos, last = _positions(nbrs, order)
-                tlast, close, sealed, later = _seal_tables(nbrs, order)
+                tpos, tlast, close, sealed, later = _seal_tables(nbrs, order)
                 case = (list(g.edges()), order)
                 assert [order[p] for p in pos] == list(range(n)), case
-                assert tlast == last, case
+                assert (tpos, tlast) == (pos, last), case
                 placed = set()
                 first_full = {}
                 for i, v in enumerate(order):
