@@ -109,26 +109,32 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
         smaller set, swept earlier, that keeps every center and leaf.
     (c) Room: a set of size s places s inners and their s leaves, so at most
         n - 2s vertices are left for centers.  Sizes with n - 2s <= best end
-        the sweep; within a size, a DFS node is cut once best reaches n - 2s,
-        and the last level returns after the set that lifts best to it.
+        the sweep; within a size, a DFS node returns after the child that
+        lifts best to n - 2s.
     (d) Per DFS node: every later center is outside I and ends with two
         neighbors in I, so it is in ``two``, in ``one`` with a neighbor
         among the remaining candidates (``suf1``), or has two neighbors
         among them (``suf2``; not when one inner is left).  Prune when that
         count is <= best.  It cuts interior nodes on sparse graphs, where
         (e) is loose.
-    (e) Per DFS node, by center incidence: each center has at least two
-        inner neighbors, and an inner i meets at most |N(i) - I| - 1 centers,
+    (e) Per child, by center incidence: each center has at least two inner
+        neighbors, and an inner i meets at most |N(i) - I| - 1 centers,
         since one of its outside neighbors is its leaf.  So 2 score(I) <=
         sum over i in I of (|N(i) - I| - 1).  With chosen inners C and
         ``need`` more to take from ``cands[k:]``, that sum is at most
         g + top[k][need]: g is the sum over C of (|N(i) - C| - 1), kept
         on the DFS, and top[k][r] is the sum of the r largest deg - 1 among
-        ``cands[k:]`` (``_eccd_gain_table``).  Prune when half of it is
-        <= best.  On the last level each child is tested with its own g,
-        which is then the exact sum, before its P(I) is built.  Every node
-        of size s has g + top[k][need] <= top[0][s], so (e) also holds the
-        whole size to top[0][s] // 2.
+        ``cands[k:]`` (``_eccd_gain_table``).  The parent tests each child
+        with the child's own g before it calls it (on the last level, before
+        it builds the child's P(I)), and skips the child when half the bound
+        is <= best.  A child j adds at most gain[j] to g, so every child from
+        j on is held to g + top[j][need], which does not grow with j: once
+        half of that is <= best, the loop breaks.  The size loop starts at
+        k = 0, so (e) also holds a whole size to top[0][s] // 2.
+    (f) Per set, forced leaves: an inner whose neighbors outside I all lie
+        in P(I) puts its leaf in P(I) in every assignment, so the leaves
+        cost at least the number of such inners.  Skip the set when |P(I)|
+        minus that number is <= best, before the leaf assignment.
 
     ``nodes`` counts the inner sets that reach the per-set test (b).
     """
@@ -151,9 +157,15 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
     def try_set(inners, imask, pmask):
         nonlocal best_score, best_sol
         p_count = pmask.bit_count()
+        forced = 0
         for i in inners:
-            if adj[i] & ~imask == 0 or adj[i] & pmask == 0:
+            out = adj[i] & ~imask
+            if out == 0 or out & pmask == 0:
                 return
+            if out & ~pmask == 0:
+                forced += 1
+        if p_count - forced <= best_score:
+            return
         found = _min_cost_leaf_assignment(
             adj, inners, imask, pmask, p_count - best_score)
         if found is not None:
@@ -163,8 +175,6 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
 
     def sweep(k, need, imask, one, two, g):
         nonlocal nodes
-        if best_score >= room or (g + top[k][need]) // 2 <= best_score:
-            return
         if need == 1:
             # Last inner: read P(I) of each child off the masks directly.
             base = two & ~imask
@@ -172,6 +182,8 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
             if (base | once & suf1[k]).bit_count() <= best_score:
                 return
             for j in range(k, m):
+                if (g + top[j][1]) // 2 <= best_score:
+                    break
                 v = cands[j]
                 a = adj[v]
                 if (g + gain[j] - 2 * (a & imask).bit_count()) // 2 <= best_score:
@@ -187,13 +199,19 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
         if ((two | one & suf1[k] | suf2[k]) & ~imask).bit_count() <= best_score:
             return
         for j in range(k, m - need + 1):
+            if (g + top[j][need]) // 2 <= best_score:
+                break
             v = cands[j]
             a = adj[v]
+            g2 = g + gain[j] - 2 * (a & imask).bit_count()
+            if (g2 + top[j + 1][need - 1]) // 2 <= best_score:
+                continue
             both = one & a
             chosen.append(v)
-            sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both,
-                  g + gain[j] - 2 * (a & imask).bit_count())
+            sweep(j + 1, need - 1, imask | 1 << v, (one | a) & ~(two | both), two | both, g2)
             chosen.pop()
+            if best_score >= room:
+                return
 
     for s in range(2, min(n // 2, m) + 1):
         room = n - 2 * s

@@ -892,6 +892,35 @@ class TestEccdPruning:
                         k = picks[t - 1] + 1 if t else 0
                         assert (g + top[k][s - t]) // 2 >= score, (adj, inners, t)
 
+    def test_forced_leaf_bound_admissible(self):
+        # Rule (f): an inner whose neighbors outside I all lie in P(I) puts
+        # its leaf in P(I), so the leaves cost at least the count of such
+        # inners.  The sweep's break on (e) needs top[j][r] >= top[j + 1][r]
+        # and top[j][r] >= gain[j] + top[j + 1][r - 1] in every row.
+        rng = random.Random(406)
+        for _ in range(60):
+            n = rng.randint(5, 9)
+            g = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            adj = neighbor_masks(g.neighbor_tuples())
+            cands = [v for v in range(n) if adj[v].bit_count() >= 2]
+            gain = [adj[v].bit_count() - 1 for v in cands]
+            top = _eccd_gain_table(gain)
+            for j, row in enumerate(top[:-1]):
+                for r in range(1, len(row)):
+                    assert row[r] >= gain[j] + top[j + 1][r - 1], (gain, j, r)
+                    if r < len(top[j + 1]):
+                        assert row[r] >= top[j + 1][r], (gain, j, r)
+            for s in range(2, min(n // 2, len(cands)) + 1):
+                for inners in combinations(cands, s):
+                    score = eccd_set_score(adj, inners)
+                    if score is None:
+                        continue
+                    imask = mask_of(inners)
+                    pmask = mask_of(v for v in range(n) if not imask >> v & 1
+                                    and (adj[v] & imask).bit_count() >= 2)
+                    forced = sum(1 for i in inners if adj[i] & ~imask & ~pmask == 0)
+                    assert forced <= pmask.bit_count() - score, (adj, inners)
+
     @staticmethod
     def _count_work(monkeypatch, g):
         calls = []
@@ -905,23 +934,25 @@ class TestEccdPruning:
         return result, len(calls)
 
     def test_c20_work_budget(self, monkeypatch):
-        # Pins that fail when the incidence bound (e) or the per-set filter
-        # (b) is lost: 339 sets and 93 leaf assignments with every prune,
-        # 14,814 and 353 without (e), 304 leaf assignments without (b).
+        # Pins that fail when the incidence bound (e) or the forced-leaf
+        # bound (f) is lost: 339 sets and 4 leaf assignments with every
+        # prune, 40,455 sets without (e), 93 leaf assignments without (f).
         result, calls = self._count_work(monkeypatch, fam("cycle", 20))
         assert result.gamma == 16
         assert result.stats.nodes <= 500
-        assert calls <= 120
+        assert calls <= 10
 
     @pytest.mark.parametrize("g,gamma,max_sets,max_calls",
-                             [(fam("grid", 4, 5), 14, 1_000, 400),
-                              (fam("grid", 4, 6), 16, 7_800, 3_300)],
+                             [(fam("grid", 4, 5), 14, 1_000, 15),
+                              (fam("grid", 4, 6), 16, 7_800, 20)],
                              ids=["grid4x5", "grid4x6"])
     def test_grid_work_budget(self, g, gamma, max_sets, max_calls, monkeypatch):
-        # The incidence bound (e) does the cutting on grids: grid 4x5 takes
-        # 782 sets and 300 leaf assignments (23,891 and 917 without (e)),
-        # grid 4x6 7,549 and 3,120 (332,569 and 12,881 without (e); 8,145
-        # and 3,481 without the room test (c) inside a size).
+        # The incidence bound (e) cuts the sets on grids and the forced-leaf
+        # bound (f) the leaf assignments: grid 4x5 takes 782 sets and 6 leaf
+        # assignments (23,891 sets without (e), 300 assignments without
+        # (f)), grid 4x6 7,549 and 8 (332,569 sets without (e), 8,145
+        # without the room test (c) inside a size; 3,120 assignments
+        # without (f)).
         result, calls = self._count_work(monkeypatch, g)
         assert result.gamma == gamma
         assert result.stats.nodes <= max_sets
