@@ -23,7 +23,7 @@ class FamilySpec:
             raise BadSpecError(
                 f"{self.kind} takes {_PARAM_COUNT[self.kind]} parameter(s), "
                 f"got {len(self.params)}")
-        if any(p < 1 for p in self.params):
+        if any(type(p) is not int or p < 1 for p in self.params):
             raise BadSpecError("parameters must be positive")
         if self.kind == "cycle" and self.params[0] < 3:
             raise BadSpecError("cycle needs at least 3 vertices")

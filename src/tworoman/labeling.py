@@ -157,7 +157,7 @@ def validate(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
     2-neighbor of two different 0-vertices.  Witnesses match the ones subset
     enumeration would return (subsets ordered by size, then lexicographically).
     """
-    if attack_n < 1:
+    if not (type(attack_n) is int and attack_n >= 1):
         raise ValueError("attack_n must be >= 1")
     witness = first_violation(labeling.graph.neighbor_tuples(), labeling.labels, attack_n)
     return ValidationReport(witness is None, attack_n, witness)
@@ -178,7 +178,7 @@ def _first_violation_of_size(seen, zeros, j) -> tuple[int, ...] | None:
 def validate_by_enumeration(labeling: Labeling, attack_n: int = 2) -> ValidationReport:
     """Subset-enumeration form of ``validate``; the reference the fast path
     must agree with."""
-    if attack_n < 1:
+    if not (type(attack_n) is int and attack_n >= 1):
         raise ValueError("attack_n must be >= 1")
     nbrs = labeling.graph.neighbor_tuples()
     labels = labeling.labels

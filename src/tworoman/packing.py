@@ -104,9 +104,7 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
         P(I) = two & ~I costs O(1).  An inner of degree <= 1 either has no
         leaf or has its leaf as its only neighbor, so dropping it loses no
         center.
-    (b) Per set: skip when |P(I)| <= best, or when some inner has no
-        neighbor outside I or none in P(I).  Dropping that inner gives a
-        smaller set, swept earlier, that keeps every center and leaf.
+    (b) Per set: skip when |P(I)| <= best.
     (c) Room: a set of size s places s inners and their s leaves, so at most
         n - 2s vertices are left for centers.  Sizes with n - 2s <= best end
         the sweep; within a size, a DFS node returns after the child that
@@ -159,10 +157,7 @@ def _max_eccd_engine(adj: Sequence[int]) -> tuple[int, tuple | None, int]:
         p_count = pmask.bit_count()
         forced = 0
         for i in inners:
-            out = adj[i] & ~imask
-            if out == 0 or out & pmask == 0:
-                return
-            if out & ~pmask == 0:
+            if adj[i] & ~imask & ~pmask == 0:
                 forced += 1
         if p_count - forced <= best_score:
             return

@@ -51,9 +51,9 @@ class SolveOptions:
     enumerate_all: bool = False
 
     def __post_init__(self):
-        if self.attack_n < 1:
+        if not (type(self.attack_n) is int and self.attack_n >= 1):
             raise ValueError("attack_n must be >= 1")
-        if self.max_twos is not None and self.max_twos < 0:
+        if self.max_twos is not None and not (type(self.max_twos) is int and self.max_twos >= 0):
             raise ValueError("max_twos must be >= 0")
         if self.two_mode not in TWO_MODES:
             raise ValueError(f"two_mode must be one of {TWO_MODES}")

@@ -42,7 +42,7 @@ class PatchSpec:
     def __post_init__(self):
         if self.kind not in LATTICE_KINDS:
             raise BadSpecError(f"unknown tiling kind: {self.kind!r}")
-        if self.width < 1 or self.height < 1:
+        if not all(type(d) is int and d >= 1 for d in (self.width, self.height)):
             raise BadSpecError("patch dimensions must be >= 1")
         if self.wrap not in ("open", "torus"):
             raise BadSpecError(f"wrap must be 'open' or 'torus', got {self.wrap!r}")

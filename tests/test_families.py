@@ -39,6 +39,10 @@ class TestGenerate:
         ("cycle", (2,)),
         ("grid", (3,)),
         ("complete_bipartite", (2, 0)),
+        # Counts are ints: a bool or a float is no count.
+        ("path", (True,)),
+        ("cycle", (5.0,)),
+        ("grid", (3, 2.5)),
     ])
     def test_bad_specs(self, kind, params):
         with pytest.raises(BadSpecError):

@@ -127,10 +127,10 @@ class TestValidate:
 
     def test_attack_must_be_positive(self):
         g, lab = fig1_star_labeled()
-        with pytest.raises(ValueError):
-            validate(lab, 0)
-        with pytest.raises(ValueError):
-            validate_by_enumeration(lab, 0)
+        for check in (validate, validate_by_enumeration):
+            for bad in (0, True, 2.0, 3.5):  # counts are ints, not bools or floats
+                with pytest.raises(ValueError):
+                    check(lab, bad)
 
     def test_default_attack_is_two(self):
         # P3 labeled 0-2-0 survives any one attack but not both 0s at once

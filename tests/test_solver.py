@@ -921,6 +921,34 @@ class TestEccdPruning:
                     forced = sum(1 for i in inners if adj[i] & ~imask & ~pmask == 0)
                     assert forced <= pmask.bit_count() - score, (adj, inners)
 
+    def test_inner_without_center_or_leaf_never_wins(self):
+        # Why the sweep needs no per-inner exit: take an inner i of I.  With no
+        # neighbor outside I, i has no leaf, so I has no assignment.  With none
+        # in P(I), no center uses i, so P(I) lies in P(I - i) and each leaf
+        # assignment of I restricts to one of I - i at no higher cost: score(I)
+        # <= score(I - i).  I - i comes earlier in the sweep (or is one inner,
+        # score 0), and the sweep skips only sets that cannot beat the best, so
+        # best >= score(I) already, and the leaf assignment returns None.
+        rng = random.Random(406)
+        for _ in range(60):
+            n = rng.randint(5, 9)
+            g = _random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            adj = neighbor_masks(g.neighbor_tuples())
+            cands = [v for v in range(n) if adj[v].bit_count() >= 2]
+            for s in range(2, len(cands) + 1):
+                for inners in combinations(cands, s):
+                    imask = mask_of(inners)
+                    pmask = mask_of(v for v in range(n) if not imask >> v & 1
+                                    and (adj[v] & imask).bit_count() >= 2)
+                    score = eccd_set_score(adj, inners)
+                    for i in inners:
+                        out = adj[i] & ~imask
+                        if out == 0:
+                            assert score is None, (adj, inners, i)
+                        elif out & pmask == 0 and score is not None:
+                            rest = eccd_set_score(adj, [j for j in inners if j != i])
+                            assert rest is not None and score <= rest, (adj, inners, i)
+
     @staticmethod
     def _count_work(monkeypatch, g):
         calls = []
@@ -1259,10 +1287,11 @@ class TestStripOnes:
 
 class TestSolveDispatch:
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(attack_n=0)
-        with pytest.raises(ValueError):
-            SolveOptions(max_twos=-1)
+        # Counts are ints: a bool or a float is no count.
+        for bad in ({"attack_n": 0}, {"attack_n": True}, {"attack_n": 2.5}, {"attack_n": 2.0},
+                    {"max_twos": -1}, {"max_twos": 1.5}, {"max_twos": False}):
+            with pytest.raises(ValueError):
+                SolveOptions(**bad)
         with pytest.raises(ValueError):
             SolveOptions(two_mode="fewest")
         with pytest.raises(ValueError):

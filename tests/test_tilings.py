@@ -69,8 +69,10 @@ class TestGeneratePatch:
             PatchSpec("rhombic", 3, 3)
 
     def test_bad_dimensions(self):
-        with pytest.raises(BadSpecError):
-            PatchSpec("square", 0, 3)
+        # Dimensions are ints: a bool or a float is no count.
+        for width, height in ((0, 3), (True, 3), (3, True), (2.5, 3), (3, 4.0)):
+            with pytest.raises(BadSpecError):
+                PatchSpec("square", width, height)
 
     def test_hexagonal_torus_needs_even_height(self):
         with pytest.raises(IncompatibleTorusError):
