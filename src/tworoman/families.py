@@ -110,6 +110,6 @@ def density_lower_bound(max_degree: int) -> "Fraction":
     own 1 and the density is exactly 1."""
     from fractions import Fraction
 
-    if max_degree < 0:
+    if not (type(max_degree) is int and max_degree >= 0):
         raise BadSpecError("max_degree must be >= 0")
     return min(Fraction(1), Fraction(4, max_degree + 3))

@@ -54,7 +54,7 @@ class Graph:
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]],
                  external_ids: Iterable[int] | None = None):
-        if order < 0:
+        if not (type(order) is int and order >= 0):
             raise OutOfRangeError(order)
         adj = [set() for _ in range(order)]
         for u, v in edges:
@@ -180,7 +180,7 @@ def ball(graph: Graph, center: int, radius: int) -> Graph:
     disconnected graph the ball stabilizes at the component of ``center``.
     """
     seen = _members(graph, (center,))
-    if radius < 0:
+    if not (type(radius) is int and radius >= 0):
         raise ValueError("radius must be >= 0")
     frontier = {center}
     for _ in range(radius):

@@ -37,7 +37,7 @@ class Labeling:
             raise ValueError(
                 f"labeling has {len(self.labels)} entries for order {self.graph.order}")
         for lab in self.labels:
-            if lab not in LABELS:
+            if type(lab) is not int or lab not in LABELS:
                 raise ValueError(f"label out of range: {lab}")
 
     @property

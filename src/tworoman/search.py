@@ -22,26 +22,25 @@ from .graph import iter_bits, neighbor_masks
 from .labeling import first_violation
 
 
-def _seal_conflict(adj, nbrs, labels, two_mask, seal, close, i,
+def _seal_conflict(adj, nbrs, labels, two_mask, seal, claimed,
                    attack_n) -> tuple[int, ...] | None:
     """The 2s that labeling ``order[i]`` gets claimed, or None when no minimum
     labeling extends the labels.
 
-    A vertex u is sealed at position close[u], where it leaves the order's
-    frontier: from there on its closed neighborhood is labeled.  ``seal``
-    lists the vertices sealed at i, the only ones whose checks below change.
-    A sealed 0 with no 2-neighbor is dead, and (for attack >= 2) two sealed
-    0s sharing one unique 2-neighbor are dead.  A pair partner x counts only
-    when close[x] <= i, so its label in ``labels`` is final.  Two exchanges
-    cut the rest: a sealed 1 with ``attack_n`` 2-neighbors stays valid as a
-    0, and a sealed 2 each of whose 0-neighbors has ``attack_n`` other
-    2-neighbors stays valid as a 1.  Either maps every completion to a valid
-    labeling one lighter with no more 2s, so none of them is minimum, under
-    any 2-cap.
-
-    Otherwise, at attack >= 2, a sealed 0 whose only 2-neighbor is w claims
-    w: it is w's private 0 in every completion (``_Discharge.claim``).  Each
-    claim is new, since a second claim on w is a dead pair.
+    A vertex is sealed at the position where it leaves the order's frontier
+    (``_seal_tables``): from there on its closed neighborhood is labeled.
+    ``seal`` lists the vertices sealed at i, the only ones whose checks below
+    change.  A sealed 0 with no 2-neighbor is dead.  At attack >= 2 a sealed
+    0 whose only 2-neighbor is w claims w: it is w's private 0 in every
+    completion (``_Discharge.claim``).  A second claim on w is a dead pair,
+    two 0s that only w defends.  The first claim is ``claimed[w]`` when a 0
+    sealed before i made it (``_search`` sets the flag before it enters that
+    child and clears it when it leaves), or in this call's claims when a 0
+    sealed at i made it.  Two exchanges cut the rest: a sealed 1 with
+    ``attack_n`` 2-neighbors stays valid as a 0, and a sealed 2 each of
+    whose 0-neighbors has ``attack_n`` other 2-neighbors stays valid as a 1.
+    Either maps every completion to a valid labeling one lighter with no
+    more 2s, so none of them is minimum, under any 2-cap.
     """
     claims = ()
     for u in seal:
@@ -52,9 +51,8 @@ def _seal_conflict(adj, nbrs, labels, two_mask, seal, close, i,
                 return None
             if attack_n >= 2 and t & (t - 1) == 0:
                 w = t.bit_length() - 1
-                for x in nbrs[w]:
-                    if x != u and close[x] <= i and labels[x] == 0 and adj[x] & two_mask == t:
-                        return None
+                if claimed[w] or w in claims:
+                    return None
                 claims += (w,)
         elif lab == 1:
             if t.bit_count() >= attack_n:
@@ -173,25 +171,25 @@ class _Discharge:
                     t += self.floor[z]
         return t, nf, nf + (-(-t // self.scale) if t > 0 else 0), owed
 
-    def step(self, state, v: int, i: int, last: Sequence[int], close: Sequence[int],
+    def step(self, state, v: int, i: int, last: Sequence[int], pos: Sequence[int],
              later: Sequence[int], two_mask: int, labels: Sequence[int]):
         """The states after deciding v = order[i], indexed by v's label.
 
-        After the step a vertex is undecided when its position exceeds i, so
-        w has an undecided neighbor when ``last[w]``, the position of its last
-        neighbor, exceeds i, and it is in F when ``last[w] <= i < close[w]``
-        and it has no 2-neighbor.  ``later`` lists the neighbors of v after
-        i, ``two_mask`` the 2s before v is labeled and ``labels`` the labels
-        of the decided vertices.  A member of O | H leaves on a 2 next to it
-        or a neighbor entering F, paying back c_z if it has no decided
-        2-neighbor and f_z if it has one.  A 0 with a later neighbor and no
-        neighbor entering F joins O when it has no 2-neighbor and H when its
-        one 2-neighbor is claimed; an F vertex labeled 0 or 1 leaves F and
-        puts back its 0-neighbors that have an undecided neighbor, no other
-        neighbor in F and no 2-neighbor or one claimed one.  Claims made at i
-        come after, in ``claim``.  The work is O(deg v), plus O(deg^2) when v
-        leaves F.  A child that leaves a 0 of O | H with no undecided
-        neighbor differs from ``state``, which drops that 0, but
+        After the step a vertex w is undecided when ``pos[w]``, its position,
+        exceeds i, and it has an undecided neighbor when ``last[w]``, the
+        position of its last neighbor, exceeds i; so it is in F when
+        ``last[w] <= i < pos[w]`` and it has no 2-neighbor.  ``later`` lists
+        the neighbors of v after i, ``two_mask`` the 2s before v is labeled and
+        ``labels`` the labels of the decided vertices.  A member of O | H
+        leaves on a 2 next to it or a neighbor entering F, paying back c_z if
+        it has no decided 2-neighbor and f_z if it has one.  A 0 with a later
+        neighbor and no neighbor entering F joins O when it has no 2-neighbor
+        and H when its one 2-neighbor is claimed; an F vertex labeled 0 or 1
+        leaves F and puts back its 0-neighbors that have an undecided
+        neighbor, no other neighbor in F and no 2-neighbor or one claimed
+        one.  Claims made at i come after, in ``claim``.  The work is O(deg v),
+        plus O(deg^2) when v leaves F.  A child that leaves a 0 of O | H with
+        no undecided neighbor differs from ``state``, which drops that 0, but
         ``_seal_conflict`` cuts it.
         """
         adj = self.adj
@@ -217,7 +215,7 @@ class _Discharge:
                     else:
                         continue
                     for x in nbrs[z]:
-                        if last[x] <= i < close[x] and not adj[x] & two_mask:
+                        if last[x] <= i < pos[x] and not adj[x] & two_mask:
                             break
                     else:
                         owed |= 1 << z
@@ -273,14 +271,15 @@ class _Discharge:
         return (t, nf, nf + (-(-t // scale) if t > 0 else 0), owed | 1 << v), one, two
 
     def claim(self, state, claims: Sequence[int], i: int, pos: Sequence[int],
-              last: Sequence[int], close: Sequence[int], two_mask: int, labels: Sequence[int]):
+              last: Sequence[int], two_mask: int, labels: Sequence[int]):
         """The state after the sealed 0s of position i claim the 2s in
-        ``claims`` (``_seal_conflict``), with their flags set; the caller
-        clears them when it leaves the child.  A claimed w stops owing U its
-        bonus while k_w > 0, and its decided 0-neighbors with w as their only
-        2-neighbor, an undecided neighbor and no neighbor in F join H.  The
-        arguments are those of ``step`` after it, plus ``pos``, the position
-        of each vertex; ``two_mask`` includes ``order[i]``'s label.
+        ``claims`` (``_seal_conflict``), with their flags set.  The caller
+        clears them when it leaves the child, so below it ``claimed[w]`` says
+        that a sealed 0 holds w alone, and ``_seal_conflict`` cuts a second
+        such 0.  A claimed w stops owing U its bonus while k_w > 0, and its
+        decided 0-neighbors with w as their only 2-neighbor, an undecided
+        neighbor and no neighbor in F join H.  The arguments are those of
+        ``step`` after it; ``two_mask`` includes ``order[i]``'s label.
         """
         adj = self.adj
         nbrs = self.nbrs
@@ -294,7 +293,7 @@ class _Discharge:
             for z in nbrs[w]:
                 if i < last[z] and pos[z] <= i and labels[z] == 0 and adj[z] & two_mask == 1 << w:
                     for x in nbrs[z]:
-                        if last[x] <= i < close[x] and not adj[x] & two_mask:
+                        if last[x] <= i < pos[x] and not adj[x] & two_mask:
                             break
                     else:
                         owed |= 1 << z
@@ -448,20 +447,19 @@ def _search_order(nbrs: Sequence[tuple[int, ...]]) -> tuple[list[int], int, int]
 
 
 def _seal_tables(nbrs: Sequence[tuple[int, ...]], order: Sequence[int]):
-    """The per-position tables of ``_search``: (pos, last, close, sealed, later).
+    """The per-position tables of ``_search``: (pos, last, sealed, later).
 
-    ``pos`` and ``last`` are those of ``_positions``; close[u] = max(pos[u], last[u]) is
-    the position where u leaves the frontier and is sealed, ``sealed[i]``
-    lists the vertices with close i, and ``later[i]`` the neighbors of
+    ``pos`` and ``last`` are those of ``_positions``.  ``sealed[i]`` lists
+    the vertices u with max(pos[u], last[u]) = i, the position where u
+    leaves the frontier and is sealed, and ``later[i]`` the neighbors of
     ``order[i]`` after position i.
     """
     pos, last = _positions(nbrs, order)
-    close = list(map(max, pos, last))
     sealed = [[] for _ in order]
-    for u, c in enumerate(close):
+    for u, c in enumerate(map(max, pos, last)):
         sealed[c].append(u)
     later = [tuple([u for u in nbrs[v] if pos[u] > i]) for i, v in enumerate(order)]
-    return pos, last, close, sealed, later
+    return pos, last, sealed, later
 
 
 def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int, thi: int,
@@ -492,11 +490,14 @@ def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int
     and the 1-child differ when a 0 there starts to owe charge.  A child
     whose seal claims 2s takes the claims into its state with
     ``bound.claim``, meets the weight limit again, and clears their flags in
-    ``bound.claimed`` when its subtree is done.
+    ``bound.claimed`` when its subtree is done.  So inside the subtree the
+    flags name exactly the 2s that a sealed 0 holds alone, the one record
+    from which ``_seal_conflict`` reads a dead pair and ``step`` and
+    ``claim`` read the claimed bonuses.
     """
     nbrs, adj, attack_n = bound.nbrs, bound.adj, bound.attack_n
     n = len(adj)
-    pos, last, close, sealed, later = _seal_tables(nbrs, order)
+    pos, last, sealed, later = _seal_tables(nbrs, order)
     step, claim, claimed = bound.step, bound.claim, bound.claimed
     labels = [0] * n
     nodes = 0
@@ -514,7 +515,7 @@ def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int
                     wmax, tlo, thi = new
             return
         v = order[idx]
-        kids = step(state, v, idx, last, close, later[idx], two_mask, labels)
+        kids = step(state, v, idx, last, pos, later[idx], two_mask, labels)
         seal = sealed[idx]
         for lab in labs:
             st = kids[lab]
@@ -527,11 +528,11 @@ def _search(bound: _Discharge, order, labs: tuple[int, ...], wmax: int, tlo: int
                 continue
             labels[v] = lab
             if seal:
-                claims = _seal_conflict(adj, nbrs, labels, m2, seal, close, idx, attack_n)
+                claims = _seal_conflict(adj, nbrs, labels, m2, seal, claimed, attack_n)
                 if claims is None:
                     continue
                 if claims:
-                    st = claim(st, claims, idx, pos, last, close, m2, labels)
+                    st = claim(st, claims, idx, pos, last, m2, labels)
                     if w2 + st[2] <= wmax:
                         rec(idx + 1, m2, w2, t2, st)
                     for w in claims:

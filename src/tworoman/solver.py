@@ -350,10 +350,9 @@ def assign_private_neighbors(labeling: Labeling) -> tuple[Graph, dict[int, int]]
     for t_i, lab in enumerate(labels):
         if lab != 2 or t_i in matching:
             continue
-        candidates = [u for u in adj[t_i] if labels[u] == 0]
-        if not candidates:
-            raise NotMinimumError(f"2-vertex {t_i} has no 0-neighbor")
-        v_i = min(candidates)
+        # t_i keeps a 0-neighbor: if it had none, or the cuts below took the
+        # last, relabeling t_i to 1 would leave a lighter valid labeling.
+        v_i = min(u for u in adj[t_i] if labels[u] == 0)
         cut = {w for w in adj[v_i] if labels[w] == 2 and w != t_i}
         adj[v_i] -= cut
         for w in cut:

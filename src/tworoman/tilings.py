@@ -115,8 +115,13 @@ class TilingPattern:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(lab not in LABELS for lab in self.labels):
-            raise BadSpecError("pattern labels must be in {0, 1, 2}")
+        # Copied to a tuple, as ``Labeling`` does, so the record stays hashable.
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if not self.labels or any(type(lab) is not int or lab not in LABELS
+                                  for lab in self.labels):
+            raise BadSpecError("pattern labels must be a nonempty sequence over {0, 1, 2}")
+        if not (type(self.x_coeff) is int and type(self.y_coeff) is int):
+            raise BadSpecError("pattern coefficients must be ints")
 
     def label_at(self, x: int, y: int) -> int:
         return self.labels[(self.x_coeff * x + self.y_coeff * y) % len(self.labels)]
@@ -242,7 +247,7 @@ def _lattice_ball(kind: str, radius: int) -> tuple[Graph, list[tuple[int, int]]]
     at most 1, so shortest paths from the center stay inside the patch and
     patch distances equal infinite-lattice distances.
     """
-    if radius < 0:
+    if not (type(radius) is int and radius >= 0):
         raise BadSpecError("radius must be >= 0")
     side = 2 * radius + 1
     patch = generate_patch(PatchSpec(kind, side, side, "open"))
@@ -267,7 +272,7 @@ def ball_density_sequence(kind: str, radii) -> list[tuple[int, Fraction]]:
     """
     out = []
     for radius in radii:
-        if radius < 0:
+        if not (type(radius) is int and radius >= 0):
             raise BadSpecError("radius must be >= 0")
         if kind == "path":
             n = 2 * radius + 1

@@ -109,8 +109,9 @@ class TestDensityLowerBound:
         assert density_lower_bound(delta) == expected
 
     def test_negative_rejected(self):
-        with pytest.raises(BadSpecError):
-            density_lower_bound(-1)
+        for bad in (-1, 2.5, True):  # a degree is an int, not a float or a bool
+            with pytest.raises(BadSpecError, match="max_degree must be >= 0"):
+                density_lower_bound(bad)
 
     def test_bound_holds_on_connected_samples(self):
         for g in sampled_connected_graphs(7, 40, seed=19):

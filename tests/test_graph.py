@@ -33,6 +33,9 @@ class TestBuildGraph:
         with pytest.raises(OutOfRangeError) as info:
             Graph(-1, [])
         assert info.value.vertex == -1
+        for order in (2.0, True):  # an order is an int, not a float or a bool
+            with pytest.raises(OutOfRangeError):
+                Graph(order, [])
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -104,8 +107,9 @@ class TestBall:
     def test_radius_zero(self):
         g = generate(FamilySpec("cycle", (5,)))
         assert ball(g, 2, 0).order == 1
-        with pytest.raises(ValueError, match="radius"):
-            ball(g, 2, -1)
+        for radius in (-1, 1.5, True):  # a radius is an int, not a float or a bool
+            with pytest.raises(ValueError, match="radius"):
+                ball(g, 2, radius)
 
     def test_radius_beyond_diameter(self):
         c6 = generate(FamilySpec("cycle", (6,)))

@@ -27,8 +27,10 @@ class TestLabelingType:
 
     def test_labels_checked(self):
         g = generate(FamilySpec("path", (3,)))
-        with pytest.raises(ValueError):
-            Labeling(g, (0, 1, 3))
+        # Labels are ints: 1.0 and True equal 1 but are no labels.
+        for labels in ((0, 1, 3), (1.0, 1, True), (0, 2, 1.0), (0, True, 2)):
+            with pytest.raises(ValueError):
+                Labeling(g, labels)
 
     def test_empty_graph(self):
         g = build_graph(0, [])

@@ -117,23 +117,23 @@ class TestDischargeBound:
         from scratch, weight of the prefix) after each vertex."""
         nbrs, adj, attack = bound.nbrs, bound.adj, bound.attack_n
         n = len(nbrs)
-        pos, last, close, sealed, later = _seal_tables(nbrs, order)
+        pos, last, sealed, later = _seal_tables(nbrs, order)
         bound.claimed = bytearray(n)
         und = (1 << n) - 1
         twos = zeros = wgt = 0
         state = bound.root
         for i, v in enumerate(order):
-            state = bound.step(state, v, i, last, close, later[i], twos, labels)[labels[v]]
+            state = bound.step(state, v, i, last, pos, later[i], twos, labels)[labels[v]]
             und &= ~(1 << v)
             wgt += labels[v]
             if labels[v] == 2:
                 twos |= 1 << v
             elif labels[v] == 0:
                 zeros |= 1 << v
-            claims = _seal_conflict(adj, nbrs, labels, twos, sealed[i], close, i, attack)
+            claims = _seal_conflict(adj, nbrs, labels, twos, sealed[i], bound.claimed, attack)
             assert claims is not None, (i, v)
             if claims:
-                state = bound.claim(state, claims, i, pos, last, close, twos, labels)
+                state = bound.claim(state, claims, i, pos, last, twos, labels)
             yield state, bound.state(und, twos, zeros), wgt
 
     def test_admissible_on_prefixes_of_minimum_labelings(self):
@@ -201,17 +201,43 @@ class TestDischargeBound:
         g = fam("path", 5)
         nbrs = g.neighbor_tuples()
         adj = neighbor_masks(nbrs)
-        _, _, close, sealed, _ = _seal_tables(nbrs, range(5))
+        pos, last, sealed, _ = _seal_tables(nbrs, range(5))
         labels = [0, 2, 1, 2, 0]
-        i = close[2]
-        cut = _seal_conflict(adj, nbrs, labels, 0b01010, sealed[i], close, i, attack) is None
+        seal = sealed[max(pos[2], last[2])]
+        claimed = bytearray(5)
+        cut = _seal_conflict(adj, nbrs, labels, 0b01010, seal, claimed, attack) is None
         assert cut == (attack <= 2)
         labels[2] = 0  # the lighter labeling: a 0 with two 2s claims neither
-        assert _seal_conflict(adj, nbrs, labels, 0b01010, sealed[i], close, i, attack) == ()
+        assert _seal_conflict(adj, nbrs, labels, 0b01010, seal, claimed, attack) == ()
         # An isolated 2 has no 0-neighbor to defend, so it is valid as a 1.
         one = build_graph(1, []).neighbor_tuples()
-        assert _seal_conflict([0], one, [2], 1, [0], [0], 0, attack) is None
-        assert _seal_conflict([0], one, [1], 0, [0], [0], 0, attack) == ()
+        assert _seal_conflict([0], one, [2], 1, [0], bytearray(1), attack) is None
+        assert _seal_conflict([0], one, [1], 0, [0], bytearray(1), attack) == ()
+
+    @pytest.mark.parametrize("attack", [1, 2, 3])
+    def test_dead_pair_examples(self, attack):
+        # P3 labeled 0-2-0: both 0s have the middle 2 as their only
+        # 2-neighbor, a dead pair from attack 2 on.  In id order the first 0
+        # is sealed at position 1 and claims the 2, and the second, sealed at
+        # position 2, is cut by that claim's flag.  In order 0, 2, 1 both are
+        # sealed at position 2, and the call's own claims cut the second.
+        nbrs = fam("path", 3).neighbor_tuples()
+        adj = neighbor_masks(nbrs)
+        labels = [0, 2, 0]
+        pair = attack >= 2
+        claims = (1,) if pair else ()
+        claimed = bytearray(3)
+        sealed = _seal_tables(nbrs, range(3))[2]
+        assert _seal_conflict(adj, nbrs, labels, 0b010, sealed[1], claimed, attack) == claims
+        claimed[1] = 1
+        cut = _seal_conflict(adj, nbrs, labels, 0b010, sealed[2], claimed, attack) is None
+        assert cut == pair
+        claimed[1] = 0
+        assert _seal_conflict(adj, nbrs, labels, 0b010, sealed[2], claimed, attack) == claims
+        sealed = _seal_tables(nbrs, [0, 2, 1])[2]
+        assert sorted(sealed[2]) == [0, 1, 2]
+        cut = _seal_conflict(adj, nbrs, labels, 0b010, sealed[2], claimed, attack) is None
+        assert cut == pair
 
     def test_isolated_vertices_cost_one_each(self):
         g = build_graph(4, [(0, 1)])
@@ -593,9 +619,9 @@ class TestSealOrder:
 
     def test_position_tables_match_definitions(self):
         # Each table from scratch on seeded graphs and orders: last is the
-        # largest neighbor position, close the position where the closed
-        # neighborhood is first fully placed, and sealed lists the vertices
-        # whose closed neighborhood is first fully placed there.
+        # largest neighbor position, max(pos, last) the position where the
+        # closed neighborhood is first fully placed, and sealed lists the
+        # vertices whose closed neighborhood is first fully placed there.
         rng = random.Random(2323)
         cases = [_random_graph(rng, rng.randint(0, 14), rng.choice((0.0, 0.1, 0.25, 0.5)))
                  for _ in range(80)] + SCAN_CORPUS
@@ -607,7 +633,7 @@ class TestSealOrder:
             for order in (_seal_scan(nbrs)[0], range(n), shuffled):
                 order = list(order)
                 pos, last = _positions(nbrs, order)
-                tpos, tlast, close, sealed, later = _seal_tables(nbrs, order)
+                tpos, tlast, sealed, later = _seal_tables(nbrs, order)
                 case = (list(g.edges()), order)
                 assert [order[p] for p in pos] == list(range(n)), case
                 assert (tpos, tlast) == (pos, last), case
@@ -623,7 +649,7 @@ class TestSealOrder:
                     assert sorted(sealed[i]) == here, case
                 for u in range(n):
                     assert last[u] == max((order.index(w) for w in nbrs[u]), default=-1), case
-                    assert close[u] == first_full[u], case
+                    assert max(pos[u], last[u]) == first_full[u], case
                 assert _frontier(nbrs, order) == frontier_reference(nbrs, order), case
 
     @pytest.mark.parametrize("kind,width", [("cycle", 2), ("path", 1)])
@@ -1250,6 +1276,26 @@ class TestAssignPrivateNeighbors:
         g = fam("path", 3)
         with pytest.raises(NotMinimumError):
             assign_private_neighbors(Labeling(g, (0, 0, 0)))
+
+    def test_every_minimum_two_has_a_zero_neighbor(self):
+        # Relabeling a 2 with no 0-neighbor to 1 keeps a labeling valid at any
+        # attack and makes it lighter, so no minimum labeling has such a 2,
+        # and at attack 2 the matching reaches every 2.
+        rng = random.Random(35)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            nbrs = g.neighbor_tuples()
+            for attack in (1, 2, 3):
+                for labels in naive_minimum_labelings(g, attack):
+                    for w, lab in enumerate(labels):
+                        if lab == 2:
+                            assert any(labels[u] == 0 for u in nbrs[w]), (
+                                list(g.edges()), attack, labels)
+                    if attack == 2:
+                        _, matching = assign_private_neighbors(Labeling(g, labels))
+                        assert sorted(matching) == [w for w, lab in enumerate(labels)
+                                                    if lab == 2]
 
 
 class TestStripOnes:

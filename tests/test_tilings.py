@@ -166,8 +166,16 @@ class TestPatterns:
             assert report.density == TARGETS[kind]
 
     def test_label_outside_the_label_set_rejected(self):
-        with pytest.raises(BadSpecError):
-            TilingPattern("square", 1, 1, (0, 3))
+        # Labels are ints in {0, 1, 2}, at least one; coefficients are ints.
+        for fields in ((1, 1, (0, 3)), (1, 1, (0, 1.0)), (1, 1, (True, 2)), (1, 1, ()),
+                       (1.0, 1, (0, 2)), (1, True, (0, 2))):
+            with pytest.raises(BadSpecError):
+                TilingPattern("square", *fields)
+
+    def test_list_labels_stored_as_tuple(self):
+        pattern = TilingPattern("square", 1, 2, [2, 0, 0, 2, 0, 0, 0])
+        assert pattern == find_pattern("square")
+        assert hash(pattern) == hash(find_pattern("square"))
 
     def test_all_one_pattern_valid_everywhere(self):
         ones = TilingPattern("square", 1, 1, (1,))
@@ -273,7 +281,14 @@ class TestBallDensities:
         lambda: ball_density_sequence("square", [1, -1]),
         lambda: ball_density_sequence("path", [1, -1]),
         lambda: ball_density_bounds("hexagonal", [1, -1]),
-    ], ids=["ball_graph", "sequence_lattice", "sequence_path", "bounds"])
+        lambda: ball_graph("square", 1.5),
+        lambda: ball_density_sequence("square", [1.0]),
+        lambda: ball_density_sequence("path", [2.5]),
+        lambda: ball_density_sequence("path", [True]),
+        lambda: ball_density_bounds("square", [1.5]),
+    ], ids=["ball_graph", "sequence_lattice", "sequence_path", "bounds", "ball_graph_float",
+            "sequence_lattice_float", "sequence_path_float", "sequence_path_bool",
+            "bounds_float"])
     def test_negative_radius(self, call):
         with pytest.raises(BadSpecError, match="radius must be >= 0"):
             call()
